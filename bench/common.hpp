@@ -20,6 +20,7 @@
 #include "curb/core/env.hpp"
 #include "curb/core/network.hpp"
 #include "curb/core/options.hpp"
+#include "curb/json/json.hpp"
 #include "curb/obs/analysis.hpp"
 #include "curb/obs/export.hpp"
 #include "curb/obs/report.hpp"
@@ -206,18 +207,18 @@ class BenchResults {
                   core::CurbNetwork* network = nullptr,
                   const std::string& extra_json = "") {
     std::ostringstream entry;
-    entry << "{\"bench\":\"" << obs::json_escape(bench) << "\",\"params\":{";
+    entry << "{\"bench\":\"" << json::escape(bench) << "\",\"params\":{";
     for (std::size_t i = 0; i < params.size(); ++i) {
       if (i > 0) entry << ",";
-      entry << "\"" << obs::json_escape(params[i].first) << "\":\""
-            << obs::json_escape(params[i].second) << "\"";
+      entry << "\"" << json::escape(params[i].first) << "\":\""
+            << json::escape(params[i].second) << "\"";
     }
     entry << "},\"metrics\":{";
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       char value[64];
       std::snprintf(value, sizeof value, "%.3f", metrics[i].second);
       if (i > 0) entry << ",";
-      entry << "\"" << obs::json_escape(metrics[i].first) << "\":" << value;
+      entry << "\"" << json::escape(metrics[i].first) << "\":" << value;
     }
     entry << "}";
     if (!extra_json.empty()) entry << extra_json;
@@ -288,7 +289,7 @@ class BenchResults {
                         100.0 * static_cast<double>(ns) /
                             static_cast<double>(delta_total));
           entry << (first ? "" : ",") << "{\"component\":\""
-                << obs::json_escape(component) << "\",\"share_pct\":" << buf << "}";
+                << json::escape(component) << "\",\"share_pct\":" << buf << "}";
           first = false;
         }
         entry << "]";
@@ -369,11 +370,11 @@ class BenchResults {
     }
     bool first = true;
     for (const auto& [key, s] : stats) {
-      entry << (first ? "" : ",") << "\"" << obs::json_escape(key)
+      entry << (first ? "" : ",") << "\"" << json::escape(key)
             << "\":{\"kind\":\"" << s.kind << "\",\"windows\":" << s.windows
-            << ",\"mean\":" << obs::json_double(s.sum / static_cast<double>(s.windows))
-            << ",\"max\":" << obs::json_double(s.max)
-            << ",\"last\":" << obs::json_double(s.last) << "}";
+            << ",\"mean\":" << json::number(s.sum / static_cast<double>(s.windows))
+            << ",\"max\":" << json::number(s.max)
+            << ",\"last\":" << json::number(s.last) << "}";
       first = false;
     }
     entry << "}}";

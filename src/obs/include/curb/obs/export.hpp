@@ -15,8 +15,9 @@ namespace curb::obs {
 void write_spans_jsonl(const Tracer& tracer, std::ostream& out);
 
 /// Parse a JSONL span dump back (round-trip of write_spans_jsonl). Throws
-/// std::runtime_error on malformed input. Only the subset of JSON that the
-/// writer emits is accepted.
+/// std::runtime_error on malformed input: each line must be a JSON object
+/// with only the writer's keys, each of the writer's type, integer fields
+/// integral and of magnitude below 2^53.
 [[nodiscard]] std::vector<SpanRecord> parse_spans_jsonl(std::istream& in);
 
 /// Chrome trace_event JSON ("X" complete events + thread-name metadata),
@@ -46,13 +47,5 @@ bool export_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
                          const std::string& path);
 bool export_metrics_json(const MetricsRegistry& registry, const std::string& path);
 bool export_metrics_csv(const MetricsRegistry& registry, const std::string& path);
-
-/// JSON string escaping (shared by the writers; exposed for tests).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
-/// Shortest round-trippable JSON number formatting (shared by the writers:
-/// integers print without an exponent or trailing zeros, so exports stay
-/// byte-stable and diffable).
-[[nodiscard]] std::string json_double(double v);
 
 }  // namespace curb::obs

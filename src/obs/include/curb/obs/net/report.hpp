@@ -61,7 +61,9 @@ void write_ledger_jsonl(const MsgLedger& ledger, std::ostream& out);
 [[nodiscard]] bool export_ledger_jsonl(const MsgLedger& ledger,
                                        const std::string& path);
 
-/// One parsed ledger row (`parse_ledger_jsonl` round-trips write_ledger_jsonl).
+/// One parsed ledger row (`parse_ledger_jsonl` round-trips write_ledger_jsonl
+/// and throws std::runtime_error on a malformed line, an unknown key, or a
+/// wrong-typed field).
 struct LedgerRow {
   std::string category;
   std::string key;

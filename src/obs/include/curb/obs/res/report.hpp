@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "curb/obs/res/account.hpp"
+#include "curb/prof/bench_diff.hpp"
 
 namespace curb::obs::res {
 
@@ -37,38 +38,20 @@ void write_mem_report(const MemSnapshot& snap, std::ostream& out);
 void write_mem_collapsed(const prof::Profiler& profiler,
                          const std::vector<FrameAlloc>& frames, std::ostream& out);
 
-struct MemDiffOptions {
-  /// Relative-change gate, percent, applied to per-tag cumulative bytes,
-  /// allocation counts, and peak-live bytes.
-  double threshold_pct = 25.0;
-  /// Absolute byte/count change below this is ignored (malloc jitter).
-  double floor = 4096.0;
-  /// Downgrade regressions to warnings (CI smoke mode).
-  bool warn_only = false;
-};
+/// mem-diff defaults: a 25% relative gate on per-tag cumulative bytes,
+/// allocation counts and peak-live bytes, ignoring absolute changes of up to
+/// 4096 (malloc jitter).
+inline constexpr prof::PerfDiffOptions kMemDiffOptions{.threshold_pct = 25.0,
+                                                       .floor = 4096.0};
 
-struct MemDelta {
-  std::string metric;  // "crypto.alloc_bytes", "total.peak_live_bytes", ...
-  std::uint64_t base = 0;
-  std::uint64_t candidate = 0;
-  double delta_pct = 0.0;
-  bool regressed = false;  // false = warn-only or improvement
-};
-
-struct MemDiffResult {
-  std::vector<MemDelta> deltas;  // beyond-threshold changes only
-  std::size_t metrics_compared = 0;
-
-  [[nodiscard]] std::size_t regressions() const;
-};
-
-/// Compare candidate against baseline: growth in cumulative bytes, allocs, or
-/// peak beyond the threshold regresses (shrinkage only ever reports).
-[[nodiscard]] MemDiffResult mem_diff(const MemSnapshot& base,
-                                     const MemSnapshot& candidate,
-                                     const MemDiffOptions& options = {});
-
-void write_mem_diff_text(const MemDiffResult& diff, std::ostream& out);
+/// Compare candidate against baseline on the perf-diff engine: each snapshot
+/// flattens into one BenchEntry carrying `<tag>.{alloc_bytes,allocs,
+/// peak_live_bytes}` for "total" and every tag (zeros included), all
+/// lower-is-better, so growth beyond the threshold regresses and shrinkage
+/// reports as improved.
+[[nodiscard]] prof::PerfDiffResult mem_diff(
+    const MemSnapshot& base, const MemSnapshot& candidate,
+    const prof::PerfDiffOptions& options = kMemDiffOptions);
 
 /// File-path conveniences; false when the file cannot be opened.
 bool export_mem_profile(const MemSnapshot& snap, const std::string& path);

@@ -163,9 +163,11 @@ class TsCollector {
 void write_ts_window_json(const TsWindow& window, std::ostream& out);
 
 /// Parse a telemetry JSONL dump back (round-trip of the streaming writer).
-/// Throws std::runtime_error on malformed input; only the subset the writer
-/// emits is accepted. Incomplete trailing lines (a live file mid-write) are
-/// ignored, which is what lets curb-watch tail a running sim.
+/// Throws std::runtime_error on malformed input: each line must be a JSON
+/// object with only the writer's keys, each of the writer's type, integer
+/// fields integral and of magnitude below 2^53. Incomplete trailing lines
+/// (a live file mid-write) are ignored, which is what lets curb-watch tail a
+/// running sim.
 [[nodiscard]] std::vector<TsWindow> parse_ts_jsonl(std::istream& in);
 
 }  // namespace curb::obs

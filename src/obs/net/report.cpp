@@ -5,8 +5,9 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
-#include "curb/obs/export.hpp"
+#include "curb/json/json.hpp"
 
 namespace curb::obs::net {
 
@@ -32,12 +33,12 @@ void write_link_matrix_json(const LinkStats& stats, const NodeNameFn& name,
       << ",\"bytes\":" << stats.total_bytes() << ",\"dups\":" << stats.total_dups()
       << ",\"drops\":" << stats.total_drops()
       << ",\"links\":" << stats.links().size()
-      << ",\"bandwidth_bps\":" << json_double(options.bandwidth_bps)
-      << ",\"elapsed_s\":" << json_double(options.elapsed_s) << "}";
+      << ",\"bandwidth_bps\":" << json::number(options.bandwidth_bps)
+      << ",\"elapsed_s\":" << json::number(options.elapsed_s) << "}";
   out << ",\"categories\":{";
   bool first = true;
   for (const auto& [category, totals] : stats.categories()) {
-    out << (first ? "" : ",") << "\"" << json_escape(category)
+    out << (first ? "" : ",") << "\"" << json::escape(category)
         << "\":{\"msgs\":" << totals.msgs << ",\"bytes\":" << totals.bytes
         << ",\"dups\":" << totals.dups << "}";
     first = false;
@@ -46,15 +47,15 @@ void write_link_matrix_json(const LinkStats& stats, const NodeNameFn& name,
   first = true;
   for (const auto& [key, link] : stats.links()) {
     out << (first ? "" : ",") << "{\"src\":" << key.src << ",\"src_name\":\""
-        << json_escape(name(key.src)) << "\",\"dst\":" << key.dst
-        << ",\"dst_name\":\"" << json_escape(name(key.dst))
+        << json::escape(name(key.src)) << "\",\"dst\":" << key.dst
+        << ",\"dst_name\":\"" << json::escape(name(key.dst))
         << "\",\"msgs\":" << link.msgs << ",\"bytes\":" << link.bytes
         << ",\"dups\":" << link.dups << ",\"drops\":" << link.drops
-        << ",\"util\":" << json_double(link_util(link, options))
+        << ",\"util\":" << json::number(link_util(link, options))
         << ",\"by_category\":{";
     bool first_cat = true;
     for (const auto& [category, count] : link.by_category) {
-      out << (first_cat ? "" : ",") << "\"" << json_escape(category)
+      out << (first_cat ? "" : ",") << "\"" << json::escape(category)
           << "\":" << count;
       first_cat = false;
     }
@@ -235,14 +236,14 @@ void write_complexity_json(const std::vector<RoundComplexity>& rounds,
   std::size_t violations = 0;
   for (const RoundComplexity& rc : rounds) {
     out << (first ? "" : ",") << "{\"round\":" << rc.round << ",\"kind\":\""
-        << json_escape(rc.kind) << "\",\"engine\":\""
-        << json_escape(rc.params.engine) << "\",\"requests\":" << rc.params.requests
+        << json::escape(rc.kind) << "\",\"engine\":\""
+        << json::escape(rc.params.engine) << "\",\"requests\":" << rc.params.requests
         << ",\"blocks\":" << rc.params.blocks << ",\"c\":" << rc.params.c
         << ",\"gmax\":" << rc.params.group_bound() << ",\"k\":" << rc.params.k
         << ",\"n\":" << rc.params.n << ",\"measured\":{";
     bool first_cat = true;
     for (const auto& [category, count] : rc.measured) {
-      out << (first_cat ? "" : ",") << "\"" << json_escape(category)
+      out << (first_cat ? "" : ",") << "\"" << json::escape(category)
           << "\":" << count;
       first_cat = false;
     }
@@ -258,7 +259,7 @@ void write_complexity_json(const std::vector<RoundComplexity>& rounds,
     phases(rc.phase_measured);
     out << ",\"bound\":";
     phases(rc.bound);
-    out << ",\"ratio\":" << json_double(rc.ratio())
+    out << ",\"ratio\":" << json::number(rc.ratio())
         << ",\"bounded\":" << (rc.bounded ? "true" : "false")
         << ",\"exceeds\":" << (rc.exceeds ? "true" : "false") << "}";
     first = false;
@@ -275,10 +276,10 @@ void write_complexity_json(const std::vector<RoundComplexity>& rounds,
       << measured_sum << ",\"bound_total\":" << bound_sum;
   if (request_sum > 0) {
     out << ",\"measured_per_request\":"
-        << json_double(static_cast<double>(measured_sum) /
+        << json::number(static_cast<double>(measured_sum) /
                        static_cast<double>(request_sum))
         << ",\"bound_per_request\":"
-        << json_double(static_cast<double>(bound_sum) /
+        << json::number(static_cast<double>(bound_sum) /
                        static_cast<double>(request_sum));
   }
   out << "}}\n";
@@ -286,8 +287,8 @@ void write_complexity_json(const std::vector<RoundComplexity>& rounds,
 
 void write_ledger_jsonl(const MsgLedger& ledger, std::ostream& out) {
   for (const auto& [key, entry] : ledger.entries()) {
-    out << "{\"category\":\"" << json_escape(key.first) << "\",\"key\":\""
-        << json_escape(key.second) << "\",\"msgs\":" << entry.msgs
+    out << "{\"category\":\"" << json::escape(key.first) << "\",\"key\":\""
+        << json::escape(key.second) << "\",\"msgs\":" << entry.msgs
         << ",\"bytes\":" << entry.bytes << "}\n";
   }
 }
@@ -298,37 +299,23 @@ bool export_ledger_jsonl(const MsgLedger& ledger, const std::string& path) {
 }
 
 std::vector<LedgerRow> parse_ledger_jsonl(std::istream& in) {
-  // Narrow parser for the fixed field layout write_ledger_jsonl emits; the
-  // string fields (bus categories, digest hex, switch:request pairs) never
-  // contain characters json_escape would rewrite.
   std::vector<LedgerRow> rows;
   std::string line;
-  const auto string_field = [](const std::string& text, const char* field,
-                               std::string& out_value) {
-    const std::string tag = std::string{"\""} + field + "\":\"";
-    const std::size_t at = text.find(tag);
-    if (at == std::string::npos) return false;
-    const std::size_t start = at + tag.size();
-    const std::size_t end = text.find('"', start);
-    if (end == std::string::npos) return false;
-    out_value = text.substr(start, end - start);
-    return true;
-  };
-  const auto u64_field = [](const std::string& text, const char* field,
-                            std::uint64_t& out_value) {
-    const std::string tag = std::string{"\""} + field + "\":";
-    const std::size_t at = text.find(tag);
-    if (at == std::string::npos) return false;
-    out_value = std::strtoull(text.c_str() + at + tag.size(), nullptr, 10);
-    return true;
-  };
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    LedgerRow row;
-    if (string_field(line, "category", row.category) &&
-        string_field(line, "key", row.key) && u64_field(line, "msgs", row.msgs) &&
-        u64_field(line, "bytes", row.bytes)) {
+    try {
+      const json::Value object = json::parse(line);
+      LedgerRow row;
+      for (const auto& [key, value] : object.as_object()) {
+        if (key == "category") row.category = value.as_string();
+        else if (key == "key") row.key = value.as_string();
+        else if (key == "msgs") row.msgs = value.as_uint();
+        else if (key == "bytes") row.bytes = value.as_uint();
+        else throw std::runtime_error{"unknown key " + key};
+      }
       rows.push_back(std::move(row));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error{std::string{"parse_ledger_jsonl: "} + e.what()};
     }
   }
   return rows;

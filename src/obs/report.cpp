@@ -5,7 +5,7 @@
 #include <iomanip>
 #include <ostream>
 
-#include "curb/obs/export.hpp"
+#include "curb/json/json.hpp"
 
 namespace curb::obs {
 
@@ -31,19 +31,19 @@ double share_pct(std::int64_t part, std::int64_t whole) {
 }
 
 void write_finding_json(const Finding& f, std::ostream& out) {
-  out << "{\"detector\":\"" << json_escape(f.detector) << "\",\"severity\":\""
+  out << "{\"detector\":\"" << json::escape(f.detector) << "\",\"severity\":\""
       << to_string(f.severity) << "\",\"at_us\":" << f.at_us << ",\"track\":\""
-      << json_escape(f.track) << "\",\"spans\":[";
+      << json::escape(f.track) << "\",\"spans\":[";
   for (std::size_t i = 0; i < f.spans.size(); ++i) {
     if (i != 0) out << ",";
     out << f.spans[i];
   }
-  out << "],\"message\":\"" << json_escape(f.message) << "\"}";
+  out << "],\"message\":\"" << json::escape(f.message) << "\"}";
 }
 
 void write_txn_json(const TransactionTrace& txn, std::ostream& out) {
   out << "{\"switch\":" << txn.switch_id << ",\"request\":" << txn.request_id
-      << ",\"kind\":\"" << json_escape(txn.kind) << "\",\"root_span\":" << txn.root_span
+      << ",\"kind\":\"" << json::escape(txn.kind) << "\",\"root_span\":" << txn.root_span
       << ",\"start_us\":" << txn.start_us << ",\"end_us\":" << txn.end_us
       << ",\"latency_us\":" << txn.latency_us()
       << ",\"complete\":" << (txn.complete ? "true" : "false");
@@ -342,7 +342,7 @@ void write_diff_json(const DiffResult& diff, std::ostream& out) {
   for (std::size_t i = 0; i < diff.entries.size(); ++i) {
     const DiffEntry& e = diff.entries[i];
     if (i != 0) out << ",";
-    out << "{\"metric\":\"" << json_escape(e.metric) << "\",\"in_baseline\":"
+    out << "{\"metric\":\"" << json::escape(e.metric) << "\",\"in_baseline\":"
         << (e.in_baseline ? "true" : "false")
         << ",\"in_candidate\":" << (e.in_candidate ? "true" : "false")
         << ",\"base_p50_us\":" << e.base_p50_us << ",\"cand_p50_us\":" << e.cand_p50_us

@@ -1,15 +1,13 @@
 #include "curb/obs/res/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "curb/prof/bench_diff.hpp"  // JsonValue / parse_json
+#include "curb/json/json.hpp"
 
 namespace curb::obs::res {
 
@@ -22,16 +20,16 @@ void write_counters(const TagCounters& c, std::ostream& out) {
       << ",\"peak_live_bytes\":" << c.peak_live_bytes << "}";
 }
 
-std::uint64_t read_u64(const prof::JsonValue& object, const char* key) {
-  const prof::JsonValue* member = object.find(key);
-  if (member == nullptr || member->type != prof::JsonValue::Type::kNumber) {
+std::uint64_t read_u64(const json::Value& object, const char* key) {
+  const json::Value* member = object.find(key);
+  if (member == nullptr) {
     throw std::runtime_error{std::string{"mem profile: missing counter \""} + key +
                              "\""};
   }
-  return static_cast<std::uint64_t>(member->number);
+  return member->as_uint();
 }
 
-TagCounters read_counters(const prof::JsonValue& object) {
+TagCounters read_counters(const json::Value& object) {
   TagCounters c;
   c.allocs = read_u64(object, "allocs");
   c.frees = read_u64(object, "frees");
@@ -70,28 +68,25 @@ void write_mem_profile_json(const MemSnapshot& snap, std::ostream& out) {
 }
 
 MemSnapshot parse_mem_profile_json(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const prof::JsonValue root = prof::parse_json(buffer.str());
-  if (root.type != prof::JsonValue::Type::kObject) {
+  const json::Value root = json::parse(in);
+  if (root.type != json::Value::Type::kObject) {
     throw std::runtime_error{"mem profile: expected a top-level object"};
   }
   MemSnapshot snap;
-  const prof::JsonValue* total = root.find("total");
+  const json::Value* total = root.find("total");
   if (total == nullptr) throw std::runtime_error{"mem profile: missing \"total\""};
   snap.total = read_counters(*total);
-  if (const prof::JsonValue* header = root.find("header_bytes");
-      header != nullptr && header->type == prof::JsonValue::Type::kNumber) {
-    snap.header_bytes = static_cast<std::uint64_t>(header->number);
+  if (const json::Value* header = root.find("header_bytes"); header != nullptr) {
+    snap.header_bytes = header->as_uint();
   }
-  const prof::JsonValue* tags = root.find("tags");
-  if (tags == nullptr || tags->type != prof::JsonValue::Type::kArray) {
+  const json::Value* tags = root.find("tags");
+  if (tags == nullptr || tags->type != json::Value::Type::kArray) {
     throw std::runtime_error{"mem profile: missing \"tags\" array"};
   }
-  for (const prof::JsonValue& element : tags->array) {
-    const prof::JsonValue* name = element.find("tag");
-    const prof::JsonValue* counters = element.find("counters");
-    if (name == nullptr || name->type != prof::JsonValue::Type::kString ||
+  for (const json::Value& element : tags->array) {
+    const json::Value* name = element.find("tag");
+    const json::Value* counters = element.find("counters");
+    if (name == nullptr || name->type != json::Value::Type::kString ||
         counters == nullptr) {
       throw std::runtime_error{"mem profile: malformed tag entry"};
     }
@@ -176,56 +171,28 @@ void write_mem_collapsed(const prof::Profiler& profiler,
   }
 }
 
-std::size_t MemDiffResult::regressions() const {
-  return static_cast<std::size_t>(
-      std::count_if(deltas.begin(), deltas.end(),
-                    [](const MemDelta& d) { return d.regressed; }));
-}
+namespace {
 
-MemDiffResult mem_diff(const MemSnapshot& base, const MemSnapshot& candidate,
-                       const MemDiffOptions& options) {
-  MemDiffResult result;
-  const auto compare = [&](const std::string& name, std::uint64_t b,
-                           std::uint64_t c) {
-    ++result.metrics_compared;
-    const double delta = static_cast<double>(c) - static_cast<double>(b);
-    if (std::abs(delta) <= options.floor) return;
-    const double denom = b != 0 ? static_cast<double>(b) : 1.0;
-    const double delta_pct = 100.0 * delta / denom;
-    if (std::abs(delta_pct) <= options.threshold_pct) return;
-    MemDelta d;
-    d.metric = name;
-    d.base = b;
-    d.candidate = c;
-    d.delta_pct = delta_pct;
-    d.regressed = delta > 0 && !options.warn_only;
-    result.deltas.push_back(std::move(d));
+prof::BenchEntry mem_entry(const MemSnapshot& snap) {
+  prof::BenchEntry entry;
+  entry.bench = "mem";
+  const auto add = [&](const std::string& name, const TagCounters& c) {
+    entry.values[name + ".alloc_bytes"] = static_cast<double>(c.alloc_bytes);
+    entry.values[name + ".allocs"] = static_cast<double>(c.allocs);
+    entry.values[name + ".peak_live_bytes"] = static_cast<double>(c.peak_live_bytes);
   };
-  const auto compare_tag = [&](const std::string& name, const TagCounters& b,
-                               const TagCounters& c) {
-    compare(name + ".alloc_bytes", b.alloc_bytes, c.alloc_bytes);
-    compare(name + ".allocs", b.allocs, c.allocs);
-    compare(name + ".peak_live_bytes", b.peak_live_bytes, c.peak_live_bytes);
-  };
-  compare_tag("total", base.total, candidate.total);
+  add("total", snap.total);
   for (std::size_t i = 0; i < kTagCount; ++i) {
-    compare_tag(prof::to_string(static_cast<prof::ComponentTag>(i)), base.tags[i],
-                candidate.tags[i]);
+    add(prof::to_string(static_cast<prof::ComponentTag>(i)), snap.tags[i]);
   }
-  return result;
+  return entry;
 }
 
-void write_mem_diff_text(const MemDiffResult& diff, std::ostream& out) {
-  out << "mem-diff: " << diff.metrics_compared << " metrics compared\n";
-  char buf[96];
-  for (const MemDelta& d : diff.deltas) {
-    std::snprintf(buf, sizeof buf, "%+.1f%% (%llu -> %llu)", d.delta_pct,
-                  static_cast<unsigned long long>(d.base),
-                  static_cast<unsigned long long>(d.candidate));
-    out << "  " << (d.regressed ? "REGRESSED" : d.delta_pct > 0 ? "warn" : "improved")
-        << "  " << d.metric << "  " << buf << "\n";
-  }
-  out << "regressions: " << diff.regressions() << "\n";
+}  // namespace
+
+prof::PerfDiffResult mem_diff(const MemSnapshot& base, const MemSnapshot& candidate,
+                              const prof::PerfDiffOptions& options) {
+  return prof::perf_diff({mem_entry(base)}, {mem_entry(candidate)}, options);
 }
 
 bool export_mem_profile(const MemSnapshot& snap, const std::string& path) {

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "curb/obs/export.hpp"
+#include "curb/json/json.hpp"
 
 namespace curb::obs {
 
@@ -40,7 +40,7 @@ std::string SloRule::text() const {
   std::string out = to_string(agg);
   out += "(" + series + ") ";
   out += to_string(op);
-  out += " " + json_double(limit);
+  out += " " + json::number(limit);
   if (over != 1) out += " over " + std::to_string(over);
   return out;
 }
@@ -292,7 +292,7 @@ void SloEngine::on_window(Observatory* obs, const std::deque<TsWindow>& windows)
       obs->metrics.counter("slo.breaches", {{"rule", rule.text()}}).inc();
       obs->tracer.instant("slo.breach", "slo",
                           {{"rule", rule.text()},
-                           {"observed", json_double(*observed)},
+                           {"observed", json::number(*observed)},
                            {"window", std::to_string(newest.index)}});
     }
   }
@@ -314,9 +314,9 @@ void SloEngine::write_report_json(std::ostream& out) const {
       }
     }
     if (r > 0) out << ",";
-    out << "{\"rule\":\"" << json_escape(rules_.rules[r].text())
+    out << "{\"rule\":\"" << json::escape(rules_.rules[r].text())
         << "\",\"breaches\":" << count;
-    if (worst_set) out << ",\"worst\":" << json_double(worst);
+    if (worst_set) out << ",\"worst\":" << json::number(worst);
     out << "}";
   }
   out << "],\"total_breaches\":" << breaches_.size() << ",\"breaches\":[";
@@ -324,9 +324,9 @@ void SloEngine::write_report_json(std::ostream& out) const {
     const SloBreach& b = breaches_[i];
     if (i > 0) out << ",";
     out << "{\"window\":" << b.window << ",\"at_us\":" << b.at.as_micros()
-        << ",\"rule\":\"" << json_escape(rules_.rules[b.rule].text())
-        << "\",\"observed\":" << json_double(b.observed)
-        << ",\"limit\":" << json_double(b.limit) << "}";
+        << ",\"rule\":\"" << json::escape(rules_.rules[b.rule].text())
+        << "\",\"observed\":" << json::number(b.observed)
+        << ",\"limit\":" << json::number(b.limit) << "}";
   }
   out << "]}\n";
 }
@@ -335,7 +335,7 @@ void SloEngine::write_report_text(std::ostream& out) const {
   for (const SloBreach& b : breaches_) {
     out << "window " << b.window << " @" << b.at.as_millis_f() << "ms: "
         << rules_.rules[b.rule].text() << " violated (observed "
-        << json_double(b.observed) << ")\n";
+        << json::number(b.observed) << ")\n";
   }
 }
 

@@ -1,12 +1,11 @@
 #include "curb/obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
-#include "curb/obs/export.hpp"
+#include "curb/json/json.hpp"
 
 namespace curb::obs {
 
@@ -219,16 +218,16 @@ void write_ts_window_json(const TsWindow& window, std::ostream& out) {
   for (const auto& [key, v] : window.series) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << json_escape(key) << "\":{\"kind\":\"" << to_string(v.kind) << "\"";
+    out << "\"" << json::escape(key) << "\":{\"kind\":\"" << to_string(v.kind) << "\"";
     switch (v.kind) {
       case TsValue::Kind::kRate:
       case TsValue::Kind::kGauge:
-        out << ",\"value\":" << json_double(v.value);
+        out << ",\"value\":" << json::number(v.value);
         break;
       case TsValue::Kind::kHist:
-        out << ",\"count\":" << v.count << ",\"sum\":" << json_double(v.sum)
-            << ",\"p50\":" << json_double(v.p50) << ",\"p90\":" << json_double(v.p90)
-            << ",\"p99\":" << json_double(v.p99);
+        out << ",\"count\":" << v.count << ",\"sum\":" << json::number(v.sum)
+            << ",\"p50\":" << json::number(v.p50) << ",\"p90\":" << json::number(v.p90)
+            << ",\"p99\":" << json::number(v.p99);
         break;
     }
     out << "}";
@@ -238,147 +237,42 @@ void write_ts_window_json(const TsWindow& window, std::ostream& out) {
 
 namespace {
 
-/// Minimal parser for the exact JSON subset write_ts_window_json emits.
-class TsLineParser {
- public:
-  explicit TsLineParser(const std::string& line) : s_{line} {}
-
-  TsWindow parse() {
-    TsWindow window;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "w") window.index = static_cast<std::uint64_t>(parse_number());
-      else if (key == "start_us") window.start = sim::SimTime::micros(parse_int());
-      else if (key == "end_us") window.end = sim::SimTime::micros(parse_int());
-      else if (key == "partial") window.partial = parse_bool();
-      else if (key == "series") window.series = parse_series();
-      else throw std::runtime_error{"parse_ts_jsonl: unknown key " + key};
-    }
-    expect('}');
-    return window;
+TsValue decode_ts_value(const json::Value& object) {
+  TsValue v;
+  for (const auto& [key, value] : object.as_object()) {
+    if (key == "kind") {
+      const std::string& kind = value.as_string();
+      if (kind == "rate") v.kind = TsValue::Kind::kRate;
+      else if (kind == "gauge") v.kind = TsValue::Kind::kGauge;
+      else if (kind == "hist") v.kind = TsValue::Kind::kHist;
+      else throw std::runtime_error{"unknown kind " + kind};
+    } else if (key == "value") v.value = value.as_number();
+    else if (key == "count") v.count = value.as_uint();
+    else if (key == "sum") v.sum = value.as_number();
+    else if (key == "p50") v.p50 = value.as_number();
+    else if (key == "p90") v.p90 = value.as_number();
+    else if (key == "p99") v.p99 = value.as_number();
+    else throw std::runtime_error{"unknown value key " + key};
   }
+  return v;
+}
 
- private:
-  std::vector<std::pair<std::string, TsValue>> parse_series() {
-    std::vector<std::pair<std::string, TsValue>> out;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      out.emplace_back(key, parse_value());
-    }
-    expect('}');
-    return out;
-  }
-
-  TsValue parse_value() {
-    TsValue v;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "kind") {
-        const std::string kind = parse_string();
-        if (kind == "rate") v.kind = TsValue::Kind::kRate;
-        else if (kind == "gauge") v.kind = TsValue::Kind::kGauge;
-        else if (kind == "hist") v.kind = TsValue::Kind::kHist;
-        else throw std::runtime_error{"parse_ts_jsonl: unknown kind " + kind};
-      } else if (key == "value") v.value = parse_number();
-      else if (key == "count") v.count = static_cast<std::uint64_t>(parse_number());
-      else if (key == "sum") v.sum = parse_number();
-      else if (key == "p50") v.p50 = parse_number();
-      else if (key == "p90") v.p90 = parse_number();
-      else if (key == "p99") v.p99 = parse_number();
-      else throw std::runtime_error{"parse_ts_jsonl: unknown value key " + key};
-    }
-    expect('}');
-    return v;
-  }
-
-  [[nodiscard]] char peek() const {
-    if (pos_ >= s_.size()) throw std::runtime_error{"parse_ts_jsonl: truncated line"};
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error{std::string{"parse_ts_jsonl: expected '"} + c + "'"};
-    }
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              throw std::runtime_error{"parse_ts_jsonl: bad \\u escape"};
-            }
-            const unsigned code = std::stoul(s_.substr(pos_, 4), nullptr, 16);
-            pos_ += 4;
-            out += static_cast<char>(code);
-            break;
-          }
-          default: throw std::runtime_error{"parse_ts_jsonl: bad escape"};
-        }
-      } else {
-        out += c;
+TsWindow decode_ts_window(const json::Value& line) {
+  TsWindow window;
+  for (const auto& [key, value] : line.as_object()) {
+    if (key == "w") window.index = value.as_uint();
+    else if (key == "start_us") window.start = sim::SimTime::micros(value.as_int());
+    else if (key == "end_us") window.end = sim::SimTime::micros(value.as_int());
+    else if (key == "partial") window.partial = value.as_bool();
+    else if (key == "series") {
+      window.series.clear();
+      for (const auto& [series, v] : value.as_object()) {
+        window.series.emplace_back(series, decode_ts_value(v));
       }
-    }
-    ++pos_;  // closing quote
-    return out;
+    } else throw std::runtime_error{"unknown key " + key};
   }
-
-  bool parse_bool() {
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw std::runtime_error{"parse_ts_jsonl: expected bool"};
-  }
-
-  std::int64_t parse_int() { return static_cast<std::int64_t>(parse_number()); }
-
-  double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error{"parse_ts_jsonl: expected number"};
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  return window;
+}
 
 }  // namespace
 
@@ -394,7 +288,11 @@ std::vector<TsWindow> parse_ts_jsonl(std::istream& in) {
       if (in.peek() == std::istream::traits_type::eof()) break;
       throw std::runtime_error{"parse_ts_jsonl: malformed line"};
     }
-    out.push_back(TsLineParser{line}.parse());
+    try {
+      out.push_back(decode_ts_window(json::parse(line)));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error{std::string{"parse_ts_jsonl: "} + e.what()};
+    }
   }
   return out;
 }

@@ -5,13 +5,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "curb/prof/bench_diff.hpp"
+#include "curb/json/json.hpp"
 
 namespace curb::opt {
 
 namespace {
 
-using prof::JsonValue;
+using json::Value;
 
 /// Shortest round-trip decimal form; JSON has no infinity, so callers must
 /// encode kNoLimit as null before reaching this.
@@ -46,48 +46,48 @@ void append_matrix(std::string& out, const char* indent,
   out += ']';
 }
 
-[[nodiscard]] const JsonValue& member(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
+[[nodiscard]] const Value& member(const Value& obj, const char* key) {
+  const Value* v = obj.find(key);
   if (v == nullptr) {
     throw std::runtime_error{"instance_from_json: missing key '" + std::string{key} + "'"};
   }
   return *v;
 }
 
-[[nodiscard]] double as_number(const JsonValue& v, const char* what) {
-  if (v.type != JsonValue::Type::kNumber) {
+[[nodiscard]] double as_number(const Value& v, const char* what) {
+  if (v.type != Value::Type::kNumber) {
     throw std::runtime_error{"instance_from_json: '" + std::string{what} +
                              "' is not a number"};
   }
   return v.number;
 }
 
-[[nodiscard]] std::vector<double> as_vector(const JsonValue& v, const char* what) {
-  if (v.type != JsonValue::Type::kArray) {
+[[nodiscard]] std::vector<double> as_vector(const Value& v, const char* what) {
+  if (v.type != Value::Type::kArray) {
     throw std::runtime_error{"instance_from_json: '" + std::string{what} +
                              "' is not an array"};
   }
   std::vector<double> out;
   out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) out.push_back(as_number(e, what));
+  for (const Value& e : v.array) out.push_back(as_number(e, what));
   return out;
 }
 
-[[nodiscard]] std::vector<std::vector<double>> as_matrix(const JsonValue& v,
+[[nodiscard]] std::vector<std::vector<double>> as_matrix(const Value& v,
                                                          const char* what) {
-  if (v.type != JsonValue::Type::kArray) {
+  if (v.type != Value::Type::kArray) {
     throw std::runtime_error{"instance_from_json: '" + std::string{what} +
                              "' is not an array"};
   }
   std::vector<std::vector<double>> out;
   out.reserve(v.array.size());
-  for (const JsonValue& row : v.array) out.push_back(as_vector(row, what));
+  for (const Value& row : v.array) out.push_back(as_vector(row, what));
   return out;
 }
 
 /// null -> kNoLimit, number -> itself.
-[[nodiscard]] double as_limit(const JsonValue& v, const char* what) {
-  if (v.type == JsonValue::Type::kNull) return CapInstance::kNoLimit;
+[[nodiscard]] double as_limit(const Value& v, const char* what) {
+  if (v.type == Value::Type::kNull) return CapInstance::kNoLimit;
   return as_number(v, what);
 }
 
@@ -97,7 +97,7 @@ std::string instance_to_json(const StoredInstance& stored) {
   const CapInstance& inst = stored.instance;
   std::string out;
   out += "{\n";
-  out += "  \"name\": \"" + stored.name + "\",\n";
+  out += "  \"name\": \"" + json::escape(stored.name) + "\",\n";
   out += "  \"num_switches\": " + std::to_string(inst.num_switches) + ",\n";
   out += "  \"num_controllers\": " + std::to_string(inst.num_controllers) + ",\n";
   out += "  \"group_size\": [";
@@ -150,13 +150,13 @@ std::string instance_to_json(const StoredInstance& stored) {
 }
 
 StoredInstance instance_from_json(const std::string& text) {
-  const JsonValue root = prof::parse_json(text);
-  if (root.type != JsonValue::Type::kObject) {
+  const Value root = json::parse(text);
+  if (root.type != Value::Type::kObject) {
     throw std::runtime_error{"instance_from_json: document is not an object"};
   }
   StoredInstance stored;
-  if (const JsonValue* name = root.find("name");
-      name != nullptr && name->type == JsonValue::Type::kString) {
+  if (const Value* name = root.find("name");
+      name != nullptr && name->type == Value::Type::kString) {
     stored.name = name->str;
   }
   CapInstance& inst = stored.instance;
@@ -176,12 +176,12 @@ StoredInstance instance_from_json(const std::string& text) {
   inst.cs_delay = as_matrix(member(root, "cs_delay"), "cs_delay");
   inst.cc_delay = as_matrix(member(root, "cc_delay"), "cc_delay");
   inst.byzantine.clear();
-  const JsonValue& byz = member(root, "byzantine");
-  if (byz.type != JsonValue::Type::kArray) {
+  const Value& byz = member(root, "byzantine");
+  if (byz.type != Value::Type::kArray) {
     throw std::runtime_error{"instance_from_json: 'byzantine' is not an array"};
   }
-  for (const JsonValue& b : byz.array) {
-    if (b.type != JsonValue::Type::kBool) {
+  for (const Value& b : byz.array) {
+    if (b.type != Value::Type::kBool) {
       throw std::runtime_error{"instance_from_json: 'byzantine' element is not a bool"};
     }
     inst.byzantine.push_back(b.boolean);
@@ -192,11 +192,11 @@ StoredInstance instance_from_json(const std::string& text) {
     const int l = static_cast<int>(leader);
     inst.fixed_leader.push_back(l < 0 ? std::nullopt : std::optional<int>{l});
   }
-  if (const JsonValue* opt = root.find("tcr_optimum"); opt != nullptr) {
+  if (const Value* opt = root.find("tcr_optimum"); opt != nullptr) {
     stored.tcr_optimum = as_number(*opt, "tcr_optimum");
   }
-  if (const JsonValue* feas = root.find("feasible");
-      feas != nullptr && feas->type == JsonValue::Type::kBool) {
+  if (const Value* feas = root.find("feasible");
+      feas != nullptr && feas->type == Value::Type::kBool) {
     stored.feasible = feas->boolean;
   }
   inst.validate();

@@ -1,211 +1,24 @@
 #include "curb/prof/bench_diff.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "curb/json/json.hpp"
 
 namespace curb::prof {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// JSON parsing (recursive descent over the exporter subset + standard JSON).
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_{text} {}
-
-  JsonValue parse_document() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error{"json: " + what + " at offset " + std::to_string(pos_)};
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string{"expected '"} + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.type = JsonValue::Type::kString;
-        v.str = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.type = JsonValue::Type::kBool;
-        v.boolean = c == 't';
-        if (!consume_literal(c == 't' ? "true" : "false")) fail("bad literal");
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) fail("bad literal");
-        return JsonValue{};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']'");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // Exporters only escape control characters; keep BMP handling simple.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected value");
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    try {
-      std::size_t used = 0;
-      v.number = std::stod(std::string{text_.substr(start, pos_ - start)}, &used);
-      if (used != pos_ - start) throw std::invalid_argument{"partial"};
-    } catch (const std::exception&) {
-      pos_ = start;
-      fail("bad number");
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 /// Name an array element for flattening: phases/components arrays carry a
 /// string key naming the element; fall back to the index.
-std::string element_name(const JsonValue& element, std::size_t index) {
-  if (element.type == JsonValue::Type::kObject) {
+std::string element_name(const json::Value& element, std::size_t index) {
+  if (element.type == json::Value::Type::kObject) {
     for (const char* key : {"phase", "component", "name"}) {
-      if (const JsonValue* name = element.find(key);
-          name != nullptr && name->type == JsonValue::Type::kString) {
+      if (const json::Value* name = element.find(key);
+          name != nullptr && name->type == json::Value::Type::kString) {
         return name->str;
       }
     }
@@ -213,17 +26,17 @@ std::string element_name(const JsonValue& element, std::size_t index) {
   return std::to_string(index);
 }
 
-void flatten_numbers(const JsonValue& value, const std::string& prefix,
+void flatten_numbers(const json::Value& value, const std::string& prefix,
                      std::map<std::string, double>& out) {
   switch (value.type) {
-    case JsonValue::Type::kNumber: out[prefix] = value.number; break;
-    case JsonValue::Type::kObject:
+    case json::Value::Type::kNumber: out[prefix] = value.number; break;
+    case json::Value::Type::kObject:
       for (const auto& [key, member] : value.object) {
         if (key == "phase" || key == "component" || key == "name") continue;
         flatten_numbers(member, prefix.empty() ? key : prefix + "." + key, out);
       }
       break;
-    case JsonValue::Type::kArray:
+    case json::Value::Type::kArray:
       for (std::size_t i = 0; i < value.array.size(); ++i) {
         const std::string name = element_name(value.array[i], i);
         flatten_numbers(value.array[i], prefix.empty() ? name : prefix + "." + name,
@@ -236,45 +49,34 @@ void flatten_numbers(const JsonValue& value, const std::string& prefix,
 
 }  // namespace
 
-const JsonValue* JsonValue::find(const std::string& key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-JsonValue parse_json(std::string_view text) {
-  return JsonParser{text}.parse_document();
-}
-
 std::string BenchEntry::key() const {
   std::string out = bench;
   for (const auto& [k, v] : params) out += " " + k + "=" + v;
   return out;
 }
 
-std::vector<BenchEntry> parse_bench_entries(const JsonValue& root) {
-  if (root.type != JsonValue::Type::kArray) {
+std::vector<BenchEntry> parse_bench_json(std::istream& in) {
+  const json::Value root = json::parse(in);
+  if (root.type != json::Value::Type::kArray) {
     throw std::runtime_error{"bench json: expected a top-level array"};
   }
   std::vector<BenchEntry> entries;
-  for (const JsonValue& element : root.array) {
-    if (element.type != JsonValue::Type::kObject) {
+  for (const json::Value& element : root.array) {
+    if (element.type != json::Value::Type::kObject) {
       throw std::runtime_error{"bench json: expected entry objects"};
     }
     BenchEntry entry;
-    if (const JsonValue* bench = element.find("bench");
-        bench != nullptr && bench->type == JsonValue::Type::kString) {
+    if (const json::Value* bench = element.find("bench");
+        bench != nullptr && bench->type == json::Value::Type::kString) {
       entry.bench = bench->str;
     } else {
       throw std::runtime_error{"bench json: entry without \"bench\" name"};
     }
-    if (const JsonValue* params = element.find("params");
-        params != nullptr && params->type == JsonValue::Type::kObject) {
+    if (const json::Value* params = element.find("params");
+        params != nullptr && params->type == json::Value::Type::kObject) {
       for (const auto& [k, v] : params->object) {
         entry.params.emplace_back(
-            k, v.type == JsonValue::Type::kString ? v.str : std::string{});
+            k, v.type == json::Value::Type::kString ? v.str : std::string{});
       }
     }
     for (const auto& [key, member] : element.object) {
@@ -286,12 +88,6 @@ std::vector<BenchEntry> parse_bench_entries(const JsonValue& root) {
   return entries;
 }
 
-std::vector<BenchEntry> parse_bench_json(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_bench_entries(parse_json(buffer.str()));
-}
-
 bool higher_is_better(const std::string& metric) {
   const std::size_t dot = metric.rfind('.');
   const std::string leaf = dot == std::string::npos ? metric : metric.substr(dot + 1);
@@ -300,25 +96,26 @@ bool higher_is_better(const std::string& metric) {
          leaf.find("events_per_sec") != std::string::npos;
 }
 
-std::size_t PerfDiffResult::regressions() const {
+namespace {
+
+std::size_t count_status(const PerfDiffResult& diff, MetricDelta::Status status) {
   return static_cast<std::size_t>(
-      std::count_if(deltas.begin(), deltas.end(), [](const MetricDelta& d) {
-        return d.status == MetricDelta::Status::kRegressed;
-      }));
+      std::count_if(diff.deltas.begin(), diff.deltas.end(),
+                    [status](const MetricDelta& d) { return d.status == status; }));
+}
+
+}  // namespace
+
+std::size_t PerfDiffResult::regressions() const {
+  return count_status(*this, MetricDelta::Status::kRegressed);
 }
 
 std::size_t PerfDiffResult::warnings() const {
-  return static_cast<std::size_t>(
-      std::count_if(deltas.begin(), deltas.end(), [](const MetricDelta& d) {
-        return d.status == MetricDelta::Status::kWarned;
-      }));
+  return count_status(*this, MetricDelta::Status::kWarned);
 }
 
 std::size_t PerfDiffResult::improvements() const {
-  return static_cast<std::size_t>(
-      std::count_if(deltas.begin(), deltas.end(), [](const MetricDelta& d) {
-        return d.status == MetricDelta::Status::kImproved;
-      }));
+  return count_status(*this, MetricDelta::Status::kImproved);
 }
 
 PerfDiffResult perf_diff(const std::vector<BenchEntry>& base,
@@ -389,16 +186,6 @@ const char* status_name(MetricDelta::Status status) {
   return "?";
 }
 
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 void write_perf_diff_text(const PerfDiffResult& diff, std::ostream& out) {
@@ -428,19 +215,19 @@ void write_perf_diff_json(const PerfDiffResult& diff, std::ostream& out) {
       << ",\"warnings\":" << diff.warnings()
       << ",\"improvements\":" << diff.improvements() << ",\"only_base\":[";
   for (std::size_t i = 0; i < diff.only_base.size(); ++i) {
-    out << (i > 0 ? "," : "") << "\"" << json_escape_min(diff.only_base[i]) << "\"";
+    out << (i > 0 ? "," : "") << "\"" << json::escape(diff.only_base[i]) << "\"";
   }
   out << "],\"only_candidate\":[";
   for (std::size_t i = 0; i < diff.only_candidate.size(); ++i) {
-    out << (i > 0 ? "," : "") << "\"" << json_escape_min(diff.only_candidate[i]) << "\"";
+    out << (i > 0 ? "," : "") << "\"" << json::escape(diff.only_candidate[i]) << "\"";
   }
   out << "],\"deltas\":[";
   char buf[64];
   for (std::size_t i = 0; i < diff.deltas.size(); ++i) {
     const MetricDelta& d = diff.deltas[i];
     if (i > 0) out << ",";
-    out << "{\"entry\":\"" << json_escape_min(d.entry) << "\",\"metric\":\""
-        << json_escape_min(d.metric) << "\",\"status\":\"" << status_name(d.status)
+    out << "{\"entry\":\"" << json::escape(d.entry) << "\",\"metric\":\""
+        << json::escape(d.metric) << "\",\"status\":\"" << status_name(d.status)
         << "\",\"base\":";
     std::snprintf(buf, sizeof buf, "%.6g", d.base);
     out << buf << ",\"candidate\":";

@@ -8,6 +8,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "curb/json/json.hpp"
+
 namespace curb::prof {
 
 namespace {
@@ -38,7 +40,7 @@ void chrome_walk(const Profiler& profiler, std::uint32_t node, std::uint64_t sta
   if (!first) out << ",\n";
   first = false;
   char buf[64];
-  out << "{\"name\":\"" << sanitize_frame(n.label)
+  out << "{\"name\":\"" << json::escape(sanitize_frame(n.label))
       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":";
   std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(start_ns) / 1000.0);
   out << buf << ",\"dur\":";

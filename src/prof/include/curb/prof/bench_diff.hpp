@@ -6,7 +6,9 @@
 //
 // Virtual-time metrics (latency, phases, message counts) are deterministic
 // per seed and diff hard; `host.*` metrics are wall-clock measurements of
-// the machine that produced the file and only ever warn.
+// the machine that produced the file and only ever warn. `curb-prof
+// mem-diff` runs on this same engine (obs::res::mem_diff flattens each
+// memory profile into one BenchEntry).
 
 #include <cstdint>
 #include <iosfwd>
@@ -15,26 +17,6 @@
 #include <vector>
 
 namespace curb::prof {
-
-/// Minimal JSON value (objects keep insertion order). Exactly the subset the
-/// curb exporters emit; good enough to round-trip-validate them in tests.
-struct JsonValue {
-  enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(const std::string& key) const;
-};
-
-/// Parse a complete JSON document (throws std::runtime_error on malformed
-/// input or trailing garbage).
-[[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// One BENCH_results.json entry, flattened: every numeric field becomes a
 /// dotted metric ("metrics.latency_ms", "e2e_us.p99_us",
@@ -51,7 +33,6 @@ struct BenchEntry {
 
 /// Parse a BENCH_results.json array (throws std::runtime_error).
 [[nodiscard]] std::vector<BenchEntry> parse_bench_json(std::istream& in);
-[[nodiscard]] std::vector<BenchEntry> parse_bench_entries(const JsonValue& root);
 
 struct PerfDiffOptions {
   /// Relative-change gate for virtual-time metrics, percent.

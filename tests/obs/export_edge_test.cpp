@@ -1,19 +1,19 @@
 // Exporter edge cases: an empty metrics registry and an empty (or disabled)
 // tracer must still emit valid, parseable documents — CI and scripts consume
-// these files unconditionally. Validated with the curb::prof JSON parser.
+// these files unconditionally. Validated with the curb::json parser.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "curb/json/json.hpp"
 #include "curb/obs/export.hpp"
 #include "curb/obs/metrics.hpp"
 #include "curb/obs/trace.hpp"
-#include "curb/prof/bench_diff.hpp"
 #include "curb/sim/simulator.hpp"
 
+namespace json = curb::json;
 namespace obs = curb::obs;
-namespace prof = curb::prof;
 
 namespace {
 
@@ -21,14 +21,14 @@ TEST(ExportEdge, EmptyMetricsRegistryJson) {
   const obs::MetricsRegistry registry;
   std::ostringstream out;
   obs::write_metrics_json(registry, out);
-  const prof::JsonValue doc = prof::parse_json(out.str());
+  const json::Value doc = json::parse(out.str());
   // Whatever the top-level shape, it must parse and carry no series.
-  if (doc.type == prof::JsonValue::Type::kArray) {
+  if (doc.type == json::Value::Type::kArray) {
     EXPECT_TRUE(doc.array.empty());
   } else {
-    ASSERT_EQ(doc.type, prof::JsonValue::Type::kObject);
+    ASSERT_EQ(doc.type, json::Value::Type::kObject);
     for (const auto& [key, member] : doc.object) {
-      if (member.type == prof::JsonValue::Type::kArray) {
+      if (member.type == json::Value::Type::kArray) {
         EXPECT_TRUE(member.array.empty()) << key;
       }
     }
@@ -51,13 +51,13 @@ TEST(ExportEdge, EmptyTracerChromeTrace) {
   const obs::Tracer tracer;  // never bound, never enabled
   std::ostringstream out;
   obs::write_chrome_trace(tracer, out);
-  const prof::JsonValue doc = prof::parse_json(out.str());
-  ASSERT_EQ(doc.type, prof::JsonValue::Type::kObject);
-  const prof::JsonValue* events = doc.find("traceEvents");
+  const json::Value doc = json::parse(out.str());
+  ASSERT_EQ(doc.type, json::Value::Type::kObject);
+  const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   // Metadata events ("M", process/thread names) are fine; no spans ("X").
   for (const auto& event : events->array) {
-    const prof::JsonValue* ph = event.find("ph");
+    const json::Value* ph = event.find("ph");
     ASSERT_NE(ph, nullptr);
     EXPECT_NE(ph->str, "X");
   }
@@ -89,7 +89,7 @@ TEST(ExportEdge, MetricsWithSeriesStillParse) {
   registry.histogram("net.delay_us").record(12.5);
   std::ostringstream out;
   obs::write_metrics_json(registry, out);
-  EXPECT_NO_THROW(prof::parse_json(out.str()));
+  EXPECT_NO_THROW(json::parse(out.str()));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,13 @@ TEST(Report, LedgerJsonlRoundTrips) {
   EXPECT_EQ(rows[0].bytes, 1600u);
   EXPECT_EQ(rows[1].category, "PKT-IN");
   EXPECT_EQ(rows[1].msgs, 6u);
+
+  // Malformed lines throw instead of being dropped silently.
+  for (const char* bad : {R"({"category":"AGREE","msgs":1.5})", R"({"category":1})",
+                          R"({"bogus":1})", "{\"key\":"}) {
+    std::istringstream bad_in{bad};
+    EXPECT_THROW((void)parse_ledger_jsonl(bad_in), std::runtime_error) << bad;
+  }
 }
 
 TEST(Report, ComplexityWritersCoverCleanAndExceedingRounds) {

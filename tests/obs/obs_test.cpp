@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "curb/json/json.hpp"
 #include "curb/obs/export.hpp"
 #include "curb/obs/metrics.hpp"
 #include "curb/obs/observatory.hpp"
@@ -299,11 +300,11 @@ TEST(ScopedSpan, ClosesOnScopeExit) {
 // -------------------------------------------------------------- exporters
 
 TEST(Export, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string{"a\x01z"}), "a\\u0001z");
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json::escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json::escape(std::string{"a\x01z"}), "a\\u0001z");
 }
 
 TEST(Export, SpansJsonlRoundTrip) {
@@ -333,11 +334,30 @@ TEST(Export, SpansJsonlRoundTrip) {
     EXPECT_EQ(parsed[i].attrs, spans[i].attrs);
     if (!spans[i].open) EXPECT_EQ(parsed[i].end, spans[i].end);
   }
+
+  // \u escapes decode to UTF-8, exactly as json::parse decodes them.
+  std::stringstream escaped{
+      R"({"id":1,"parent":0,"name":"caf\u00e9","track":"t","start_us":0,)"
+      R"("end_us":1,"open":false,"attrs":{"k":"\u00e9"}})"};
+  const auto decoded = parse_spans_jsonl(escaped);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].name, "caf\xC3\xA9");
+  EXPECT_EQ(decoded[0].attrs, (Attrs{{"k", "\xC3\xA9"}}));
 }
 
 TEST(Export, ParseRejectsGarbage) {
   std::stringstream buf{"{\"id\":not-json}\n"};
   EXPECT_THROW((void)parse_spans_jsonl(buf), std::runtime_error);
+  // Integer fields must be integral, non-negative where unsigned, and below
+  // 2^53; every field must have the writer's type; no unknown keys.
+  for (const char* line :
+       {R"({"id":1.5})", R"({"parent":-1})", R"({"id":9007199254740994})",
+        R"({"start_us":1e300})", R"({"end_us":"7"})", R"({"name":1})",
+        R"({"open":"true"})", R"({"attrs":{"k":1}})", R"({"bogus":1})",
+        R"({"id":1} trailing)", R"({"name":"a\uzzzz"})", "{\"name\":\"a\tb\"}"}) {
+    std::stringstream in{line};
+    EXPECT_THROW((void)parse_spans_jsonl(in), std::runtime_error) << line;
+  }
 }
 
 TEST(Export, ChromeTraceShape) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,17 @@ TEST(ResReport, ParseRejectsMalformedInput) {
       R"("tags":[{"tag":"warp_drive","counters":{"allocs":1,"frees":0,)"
       R"("alloc_bytes":8,"freed_bytes":0,"live_bytes":8,"peak_live_bytes":8}}]})"};
   EXPECT_THROW((void)parse_mem_profile_json(unknown_tag), std::exception);
+
+  // Counters are integers: a fractional or negative value throws instead of
+  // being truncated.
+  std::istringstream fractional{
+      R"({"total":{"allocs":1.5,"frees":0,"alloc_bytes":8,"freed_bytes":0,)"
+      R"("live_bytes":8,"peak_live_bytes":8},"tags":[]})"};
+  EXPECT_THROW((void)parse_mem_profile_json(fractional), std::runtime_error);
+  std::istringstream negative{
+      R"({"total":{"allocs":1,"frees":0,"alloc_bytes":8,"freed_bytes":0,)"
+      R"("live_bytes":8,"peak_live_bytes":8},"header_bytes":-32,"tags":[]})"};
+  EXPECT_THROW((void)parse_mem_profile_json(negative), std::runtime_error);
 }
 
 TEST(ResReport, MemReportShowsAttributionCoverage) {
@@ -123,12 +135,21 @@ TEST(ResDiff, GrowthBeyondThresholdRegresses) {
   candidate.tags[kCrypto].alloc_bytes = 40000;  // +100% > 25%, > 4096 floor
   candidate.total.alloc_bytes = 70000;
 
-  const MemDiffResult diff = mem_diff(base, candidate);
+  const prof::PerfDiffResult diff = mem_diff(base, candidate);
   EXPECT_GT(diff.regressions(), 0u);
+  // total + every tag, three metrics each, zeros included.
+  EXPECT_EQ(diff.metrics_compared, 3 * (kTagCount + 1));
+  ASSERT_EQ(diff.deltas.size(), 2u);
+  for (const prof::MetricDelta& d : diff.deltas) {
+    EXPECT_TRUE(d.metric == "crypto.alloc_bytes" || d.metric == "total.alloc_bytes")
+        << d.metric;
+    EXPECT_EQ(d.status, prof::MetricDelta::Status::kRegressed) << d.metric;
+  }
 
-  MemDiffOptions warn;
+  prof::PerfDiffOptions warn = kMemDiffOptions;
   warn.warn_only = true;
   EXPECT_EQ(mem_diff(base, candidate, warn).regressions(), 0u);
+  EXPECT_EQ(mem_diff(base, candidate, warn).warnings(), 2u);
 }
 
 TEST(ResDiff, ShrinkageAndJitterDoNotRegress) {
@@ -137,6 +158,7 @@ TEST(ResDiff, ShrinkageAndJitterDoNotRegress) {
   MemSnapshot shrunk = base;
   shrunk.tags[kBft].alloc_bytes = 8000;  // big improvement — report, no fail
   EXPECT_EQ(mem_diff(base, shrunk).regressions(), 0u);
+  EXPECT_EQ(mem_diff(base, shrunk).improvements(), 1u);
 
   MemSnapshot jitter = base;
   jitter.tags[kCrypto].alloc_bytes += 2048;  // below the 4096-byte floor

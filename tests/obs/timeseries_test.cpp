@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -260,6 +261,29 @@ TEST_F(TimeseriesTest, ParserToleratesTrailingIncompleteLine) {
   const std::vector<TsWindow> parsed = parse_ts_jsonl(in);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].index, 0u);
+
+  // Complete lines decode \u escapes to UTF-8, exactly as json::parse does.
+  std::istringstream escaped{
+      R"({"w":2,"start_us":0,"end_us":1,"partial":false,)"
+      R"("series":{"caf\u00e9":{"kind":"rate","value":1}}})"};
+  const std::vector<TsWindow> decoded = parse_ts_jsonl(escaped);
+  ASSERT_EQ(decoded.size(), 1u);
+  ASSERT_EQ(decoded[0].series.size(), 1u);
+  EXPECT_EQ(decoded[0].series[0].first, "caf\xC3\xA9");
+}
+
+TEST_F(TimeseriesTest, ParserRejectsMalformedLines) {
+  // Complete (closed) lines that are malformed throw std::runtime_error, as
+  // documented — never a std::invalid_argument from a number conversion.
+  for (const char* line :
+       {R"({"w":-})", R"({"series":{"a\uzzzz":{"kind":"rate","value":1}}})",
+        R"({"w":1.5})", R"({"w":-1})", R"({"start_us":9007199254740994})",
+        R"({"end_us":0.5})", R"({"series":{"s":{"kind":"hist","count":2.5}}})",
+        R"({"series":{"s":{"kind":"bogus"}}})", R"({"series":{"s":{"value":"1"}}})",
+        R"({"partial":1})", R"({"bogus":1})"}) {
+    std::istringstream in{std::string{line} + "\n"};
+    EXPECT_THROW((void)parse_ts_jsonl(in), std::runtime_error) << line;
+  }
 }
 
 TEST_F(TimeseriesTest, RejectsBadOptions) {

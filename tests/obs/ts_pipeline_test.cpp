@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,6 +22,12 @@ namespace curb::core {
 namespace {
 
 using namespace curb::sim::literals;
+
+// Per-process temp file: this suite runs twice (plain and under
+// CURB_MEM_ACCOUNT=1) in separate binaries that ctest -j runs concurrently.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
 
 CurbOptions ts_options() {
   CurbOptions opts;
@@ -66,8 +74,8 @@ TEST(TsPipeline, TelemetryDoesNotChangeProtocolOutputs) {
 }
 
 TEST(TsPipeline, SameSeedRunsEmitByteIdenticalJsonl) {
-  const std::string path_a = ::testing::TempDir() + "/curb_ts_a.jsonl";
-  const std::string path_b = ::testing::TempDir() + "/curb_ts_b.jsonl";
+  const std::string path_a = temp_path("curb_ts_a.jsonl");
+  const std::string path_b = temp_path("curb_ts_b.jsonl");
   for (const std::string& path : {path_a, path_b}) {
     CurbOptions opts = ts_options();
     opts.ts_out = path;
@@ -82,7 +90,7 @@ TEST(TsPipeline, SameSeedRunsEmitByteIdenticalJsonl) {
 }
 
 TEST(TsPipeline, StreamedJsonlMatchesInMemoryWindows) {
-  const std::string path = ::testing::TempDir() + "/curb_ts_stream.jsonl";
+  const std::string path = temp_path("curb_ts_stream.jsonl");
   CurbOptions opts = ts_options();
   opts.ts_out = path;
   opts.ts_retention = 1'000'000;  // keep everything for the comparison
@@ -180,7 +188,7 @@ TEST(TsPipeline, SloRulesImplyTelemetryAndObservability) {
 }
 
 TEST(TsPipeline, DeferredInitFlushesTelemetryWhenInfeasible) {
-  const std::string path = ::testing::TempDir() + "/curb_ts_abort.jsonl";
+  const std::string path = temp_path("curb_ts_abort.jsonl");
   CurbOptions opts = ts_options();
   opts.ts_out = path;
   opts.max_cs_delay_ms = 0.01;  // no controller can serve any switch

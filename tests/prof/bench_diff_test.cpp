@@ -1,13 +1,15 @@
-// Tests for the curb-prof regression gate: the JSON parser, the
-// BENCH_results.json flattening, and perf_diff threshold semantics.
+// Tests for the curb-prof regression gate: the BENCH_results.json
+// flattening, perf_diff threshold semantics, and the report writers.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 
+#include "curb/json/json.hpp"
 #include "curb/prof/bench_diff.hpp"
 
+namespace json = curb::json;
 namespace prof = curb::prof;
 
 namespace {
@@ -26,27 +28,6 @@ const std::string kBaseline = R"([
  "host":{"wall_ms":150.0,"events_per_sec":90000.0,
          "components":[{"component":"crypto","share_pct":40.0}]}}
 ])";
-
-TEST(JsonParser, ParsesScalarsAndNesting) {
-  const prof::JsonValue doc =
-      prof::parse_json(R"({"a":1.5,"b":[true,null,"x\n"],"c":{"d":-2e3}})");
-  ASSERT_EQ(doc.type, prof::JsonValue::Type::kObject);
-  EXPECT_DOUBLE_EQ(doc.find("a")->number, 1.5);
-  const prof::JsonValue* b = doc.find("b");
-  ASSERT_EQ(b->array.size(), 3u);
-  EXPECT_TRUE(b->array[0].boolean);
-  EXPECT_EQ(b->array[1].type, prof::JsonValue::Type::kNull);
-  EXPECT_EQ(b->array[2].str, "x\n");
-  EXPECT_DOUBLE_EQ(doc.find("c")->find("d")->number, -2000.0);
-}
-
-TEST(JsonParser, RejectsMalformedInput) {
-  EXPECT_THROW(prof::parse_json("{"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json(R"({"a":})"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json(R"({"a":1} extra)"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json(R"(["unterminated)"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json("{\"a\":1,}"), std::runtime_error);
-}
 
 TEST(BenchEntries, FlattensMetricsPhasesAndHost) {
   const auto entries = entries_from(kBaseline);
@@ -192,7 +173,7 @@ TEST(PerfDiff, JsonOutputParsesBack) {
   const prof::PerfDiffResult diff = prof::perf_diff(base, cand);
   std::ostringstream out;
   prof::write_perf_diff_json(diff, out);
-  const prof::JsonValue doc = prof::parse_json(out.str());
+  const json::Value doc = json::parse(out.str());
   EXPECT_DOUBLE_EQ(doc.find("regressions")->number, 1.0);
   ASSERT_EQ(doc.find("deltas")->array.size(), 1u);
   EXPECT_EQ(doc.find("deltas")->array[0].find("metric")->str, "metrics.latency_ms");
@@ -200,6 +181,28 @@ TEST(PerfDiff, JsonOutputParsesBack) {
   std::ostringstream text;
   prof::write_perf_diff_text(diff, text);
   EXPECT_NE(text.str().find("REGRESSED"), std::string::npos);
+}
+
+TEST(PerfDiff, JsonOutputEscapesControlCharacters) {
+  // Entry keys embed bench names and param values verbatim; the JSON writer
+  // must escape them, and the strict reader rejects raw control bytes.
+  prof::BenchEntry base;
+  base.bench = "odd\tbench";
+  base.params = {{"note", "line1\nline2"}};
+  base.values["metrics.latency_ms"] = 100.0;
+  prof::BenchEntry cand = base;
+  cand.values["metrics.latency_ms"] = 200.0;
+  prof::BenchEntry extra = base;
+  extra.params[0].second = "quote\" back\\slash";
+  const prof::PerfDiffResult diff = prof::perf_diff({base}, {cand, extra});
+
+  std::ostringstream out;
+  prof::write_perf_diff_json(diff, out);
+  const json::Value doc = json::parse(out.str());
+  ASSERT_EQ(doc.find("deltas")->array.size(), 1u);
+  EXPECT_EQ(doc.find("deltas")->array[0].find("entry")->str, base.key());
+  ASSERT_EQ(doc.find("only_candidate")->array.size(), 1u);
+  EXPECT_EQ(doc.find("only_candidate")->array[0].str, extra.key());
 }
 
 }  // namespace

@@ -8,10 +8,11 @@
 #include <stdexcept>
 #include <thread>
 
-#include "curb/prof/bench_diff.hpp"
+#include "curb/json/json.hpp"
 #include "curb/prof/export.hpp"
 #include "curb/prof/profiler.hpp"
 
+namespace json = curb::json;
 namespace prof = curb::prof;
 
 namespace {
@@ -192,11 +193,11 @@ TEST(ProfExport, EmptyProfileEmitsValidOutputs) {
 
   std::ostringstream chrome;
   prof::write_chrome_profile(profiler, chrome);
-  const prof::JsonValue doc = prof::parse_json(chrome.str());
-  ASSERT_EQ(doc.type, prof::JsonValue::Type::kObject);
-  const prof::JsonValue* events = doc.find("traceEvents");
+  const json::Value doc = json::parse(chrome.str());
+  ASSERT_EQ(doc.type, json::Value::Type::kObject);
+  const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->type, prof::JsonValue::Type::kArray);
+  EXPECT_EQ(events->type, json::Value::Type::kArray);
   EXPECT_TRUE(events->array.empty());
 
   // An empty report is still renderable.
@@ -215,8 +216,8 @@ TEST(ProfExport, ChromeProfileIsValidJson) {
   }
   std::ostringstream chrome;
   prof::write_chrome_profile(profiler, chrome);
-  const prof::JsonValue doc = prof::parse_json(chrome.str());
-  const prof::JsonValue* events = doc.find("traceEvents");
+  const json::Value doc = json::parse(chrome.str());
+  const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->array.size(), 2u);
   for (const auto& event : events->array) {
@@ -224,6 +225,19 @@ TEST(ProfExport, ChromeProfileIsValidJson) {
     ASSERT_NE(event.find("ts"), nullptr);
     ASSERT_NE(event.find("dur"), nullptr);
   }
+}
+
+TEST(ProfExport, ChromeProfileEscapesLabels) {
+  prof::Profiler profiler;
+  {
+    const prof::Session session{profiler};
+    const prof::Scope scope{"a\"b\\c"};
+  }
+  std::ostringstream chrome;
+  prof::write_chrome_profile(profiler, chrome);
+  const json::Value doc = json::parse(chrome.str());
+  ASSERT_EQ(doc.find("traceEvents")->array.size(), 1u);
+  EXPECT_EQ(doc.find("traceEvents")->array[0].find("name")->str, "a\"b\\c");
 }
 
 TEST(ProfExport, MalformedCollapsedThrows) {

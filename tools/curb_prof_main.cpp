@@ -19,8 +19,9 @@
 // `mem-report` renders a memory profile (CURB_MEM_OUT=FILE on any bench
 // binary or curb-sim) as the per-tag allocator table; with --folded it also
 // summarizes a collapsed-stack memory flamegraph (CURB_MEM_FOLDED=FILE) by
-// allocation-site frames. `mem-diff` compares two memory profiles and exits
-// 1 on growth past the threshold.
+// allocation-site frames. `mem-diff` compares two memory profiles on the
+// perf-diff engine (default gate 25%, floor 4096) and exits 1 on growth past
+// the threshold; shrinkage only reports.
 //
 // Exit codes (curb/core/exit_codes.hpp): 0 ok, 1 regression, 2 usage/parse.
 //
@@ -72,6 +73,22 @@ double parse_double(const char* argv0, const char* text) {
   return value;
 }
 
+/// Open and parse one input file; exit 2 (usage/parse) on any failure.
+template <typename Parse>
+auto load(const char* argv0, const std::string& path, Parse parse) {
+  std::ifstream in{path};
+  if (!in) {
+    std::fprintf(stderr, "%s: cannot open %s\n", argv0, path.c_str());
+    std::exit(kExitUsage);
+  }
+  try {
+    return parse(in);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(), e.what());
+    std::exit(kExitUsage);
+  }
+}
+
 int run_report(const char* argv0, const std::vector<std::string>& args) {
   if (args.empty()) usage(argv0);
   std::string path;
@@ -87,34 +104,9 @@ int run_report(const char* argv0, const std::vector<std::string>& args) {
     }
   }
   if (path.empty()) usage(argv0);
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot open %s\n", argv0, path.c_str());
-    return kExitUsage;
-  }
-  try {
-    const std::vector<curb::prof::FoldedLine> lines = curb::prof::parse_collapsed(in);
-    curb::prof::write_profile_report(lines, std::cout, top_n);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(), e.what());
-    return kExitUsage;
-  }
+  curb::prof::write_profile_report(load(argv0, path, curb::prof::parse_collapsed),
+                                   std::cout, top_n);
   return kExitOk;
-}
-
-std::vector<curb::prof::BenchEntry> load_bench(const char* argv0,
-                                               const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot open %s\n", argv0, path.c_str());
-    std::exit(kExitUsage);
-  }
-  try {
-    return curb::prof::parse_bench_json(in);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(), e.what());
-    std::exit(kExitUsage);
-  }
 }
 
 int run_perf_diff(const char* argv0, const std::vector<std::string>& args) {
@@ -142,8 +134,8 @@ int run_perf_diff(const char* argv0, const std::vector<std::string>& args) {
     }
   }
   if (paths.size() != 2) usage(argv0);
-  const auto base = load_bench(argv0, paths[0]);
-  const auto candidate = load_bench(argv0, paths[1]);
+  const auto base = load(argv0, paths[0], curb::prof::parse_bench_json);
+  const auto candidate = load(argv0, paths[1], curb::prof::parse_bench_json);
   const curb::prof::PerfDiffResult diff =
       curb::prof::perf_diff(base, candidate, options);
   if (as_json) {
@@ -152,21 +144,6 @@ int run_perf_diff(const char* argv0, const std::vector<std::string>& args) {
     curb::prof::write_perf_diff_text(diff, std::cout);
   }
   return diff.regressions() > 0 ? kExitFinding : kExitOk;
-}
-
-curb::obs::res::MemSnapshot load_mem_profile(const char* argv0,
-                                             const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot open %s\n", argv0, path.c_str());
-    std::exit(kExitUsage);
-  }
-  try {
-    return curb::obs::res::parse_mem_profile_json(in);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(), e.what());
-    std::exit(kExitUsage);
-  }
 }
 
 int run_mem_report(const char* argv0, const std::vector<std::string>& args) {
@@ -183,35 +160,26 @@ int run_mem_report(const char* argv0, const std::vector<std::string>& args) {
     }
   }
   if (path.empty()) usage(argv0);
-  const curb::obs::res::MemSnapshot snap = load_mem_profile(argv0, path);
+  const curb::obs::res::MemSnapshot snap =
+      load(argv0, path, curb::obs::res::parse_mem_profile_json);
   curb::obs::res::write_mem_report(snap, std::cout);
   if (!folded_path.empty()) {
-    std::ifstream in{folded_path};
-    if (!in) {
-      std::fprintf(stderr, "%s: cannot open %s\n", argv0, folded_path.c_str());
-      return kExitUsage;
-    }
-    try {
-      // A memory flamegraph is the same collapsed-stack format with bytes as
-      // the value — the time-profile report renders it with byte totals
-      // shown in the "ms" columns scaled 1e6 (i.e. MB); print a header so
-      // the units read right.
-      const std::vector<curb::prof::FoldedLine> lines =
-          curb::prof::parse_collapsed(in);
-      std::cout << "\nallocation-site frames (values are bytes; table units "
-                   "read as MB)\n";
-      curb::prof::write_profile_report(lines, std::cout);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s: %s\n", argv0, folded_path.c_str(), e.what());
-      return kExitUsage;
-    }
+    // A memory flamegraph is the same collapsed-stack format with bytes as
+    // the value — the time-profile report renders it with byte totals shown
+    // in the "ms" columns scaled 1e6 (i.e. MB); print a header so the units
+    // read right.
+    const std::vector<curb::prof::FoldedLine> lines =
+        load(argv0, folded_path, curb::prof::parse_collapsed);
+    std::cout << "\nallocation-site frames (values are bytes; table units "
+                 "read as MB)\n";
+    curb::prof::write_profile_report(lines, std::cout);
   }
   return kExitOk;
 }
 
 int run_mem_diff(const char* argv0, const std::vector<std::string>& args) {
   std::vector<std::string> paths;
-  curb::obs::res::MemDiffOptions options;
+  curb::prof::PerfDiffOptions options = curb::obs::res::kMemDiffOptions;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threshold") {
       if (i + 1 >= args.size()) usage(argv0);
@@ -228,11 +196,11 @@ int run_mem_diff(const char* argv0, const std::vector<std::string>& args) {
     }
   }
   if (paths.size() != 2) usage(argv0);
-  const curb::obs::res::MemSnapshot base = load_mem_profile(argv0, paths[0]);
-  const curb::obs::res::MemSnapshot candidate = load_mem_profile(argv0, paths[1]);
-  const curb::obs::res::MemDiffResult diff =
+  const auto base = load(argv0, paths[0], curb::obs::res::parse_mem_profile_json);
+  const auto candidate = load(argv0, paths[1], curb::obs::res::parse_mem_profile_json);
+  const curb::prof::PerfDiffResult diff =
       curb::obs::res::mem_diff(base, candidate, options);
-  curb::obs::res::write_mem_diff_text(diff, std::cout);
+  curb::prof::write_perf_diff_text(diff, std::cout);
   return diff.regressions() > 0 ? kExitFinding : kExitOk;
 }
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/json/json.hpp"
 #include "curb/obs/analysis.hpp"
 #include "curb/obs/export.hpp"
 #include "curb/obs/net/report.hpp"
@@ -55,18 +56,24 @@ using curb::core::kExitUsage;
   std::exit(kExitUsage);
 }
 
-curb::obs::TraceAnalysis load(const char* argv0, const std::string& path) {
+/// Open and parse one input file; exit 2 (usage/parse) on any failure.
+template <typename Parse>
+auto load(const char* argv0, const std::string& path, Parse parse) {
   std::ifstream in{path};
   if (!in) {
     std::fprintf(stderr, "%s: cannot open %s\n", argv0, path.c_str());
     std::exit(kExitUsage);
   }
   try {
-    return curb::obs::TraceAnalysis{curb::obs::parse_spans_jsonl(in)};
+    return parse(in);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(), e.what());
     std::exit(kExitUsage);
   }
+}
+
+curb::obs::TraceAnalysis load_spans(const char* argv0, const std::string& path) {
+  return curb::obs::TraceAnalysis{load(argv0, path, curb::obs::parse_spans_jsonl)};
 }
 
 }  // namespace
@@ -107,7 +114,7 @@ int main(int argc, char** argv) {
 
   if (command == "report") {
     if (paths.size() != 1) usage(argv[0]);
-    const curb::obs::TraceAnalysis analysis = load(argv[0], paths[0]);
+    const curb::obs::TraceAnalysis analysis = load_spans(argv[0], paths[0]);
     if (json) {
       curb::obs::write_report_json(analysis, std::cout);
     } else {
@@ -117,7 +124,7 @@ int main(int argc, char** argv) {
   }
   if (command == "critical-path") {
     if (paths.size() != 1) usage(argv[0]);
-    const curb::obs::TraceAnalysis analysis = load(argv[0], paths[0]);
+    const curb::obs::TraceAnalysis analysis = load_spans(argv[0], paths[0]);
     if (json) {
       // JSON consumers get every transaction unless explicitly capped.
       curb::obs::write_critical_path_json(analysis, std::cout, limit_set ? limit : 0);
@@ -128,7 +135,7 @@ int main(int argc, char** argv) {
   }
   if (command == "anomalies") {
     if (paths.size() != 1) usage(argv[0]);
-    const curb::obs::TraceAnalysis analysis = load(argv[0], paths[0]);
+    const curb::obs::TraceAnalysis analysis = load_spans(argv[0], paths[0]);
     if (json) {
       curb::obs::write_anomalies_json(analysis, std::cout);
     } else {
@@ -138,17 +145,12 @@ int main(int argc, char** argv) {
   }
   if (command == "complexity") {
     if (paths.size() != 1) usage(argv[0]);
-    const curb::obs::TraceAnalysis analysis = load(argv[0], paths[0]);
+    const curb::obs::TraceAnalysis analysis = load_spans(argv[0], paths[0]);
     const std::vector<curb::obs::net::RoundComplexity> rounds =
         curb::obs::net::extract_round_complexity(analysis.spans());
     std::vector<curb::obs::net::LedgerRow> ledger;
     if (!ledger_path.empty()) {
-      std::ifstream in{ledger_path};
-      if (!in) {
-        std::fprintf(stderr, "%s: cannot open %s\n", argv[0], ledger_path.c_str());
-        return kExitUsage;
-      }
-      ledger = curb::obs::net::parse_ledger_jsonl(in);
+      ledger = load(argv[0], ledger_path, curb::obs::net::parse_ledger_jsonl);
     }
     if (json) {
       if (ledger_path.empty()) {
@@ -162,8 +164,8 @@ int main(int argc, char** argv) {
         bool first = true;
         for (const auto& row : ledger) {
           std::cout << (first ? "" : ",") << "{\"category\":\""
-                    << curb::obs::json_escape(row.category) << "\",\"key\":\""
-                    << curb::obs::json_escape(row.key) << "\",\"msgs\":" << row.msgs
+                    << curb::json::escape(row.category) << "\",\"key\":\""
+                    << curb::json::escape(row.key) << "\",\"msgs\":" << row.msgs
                     << ",\"bytes\":" << row.bytes << "}";
           first = false;
         }
@@ -212,8 +214,8 @@ int main(int argc, char** argv) {
   }
   if (command == "diff") {
     if (paths.size() != 2) usage(argv[0]);
-    const curb::obs::TraceAnalysis baseline = load(argv[0], paths[0]);
-    const curb::obs::TraceAnalysis candidate = load(argv[0], paths[1]);
+    const curb::obs::TraceAnalysis baseline = load_spans(argv[0], paths[0]);
+    const curb::obs::TraceAnalysis candidate = load_spans(argv[0], paths[1]);
     const curb::obs::DiffResult diff =
         curb::obs::diff_analyses(baseline, candidate, diff_options);
     if (json) {
