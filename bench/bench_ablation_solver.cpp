@@ -70,5 +70,5 @@ int main() {
     curb::bench::print_cell(static_cast<double>(exact.stats.milp_nodes));
     curb::bench::end_row();
   }
-  return 0;
+  return curb::bench::finish();
 }

@@ -76,5 +76,5 @@ int main() {
       "overhead or blockchain pipeline; the latency column shows the\n"
       "inherent cost ladder of each design, the msgs/req column the\n"
       "communication price Curb's grouping avoids at scale.\n");
-  return 0;
+  return curb::bench::finish();
 }

@@ -149,5 +149,5 @@ int main() {
       curb::bench::end_row();
     }
   }
-  return 0;
+  return curb::bench::finish();
 }

@@ -128,5 +128,5 @@ int main() {
     curb::bench::print_cell(sample.tps);
     curb::bench::end_row();
   }
-  return 0;
+  return curb::bench::finish();
 }

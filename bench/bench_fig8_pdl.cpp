@@ -84,5 +84,5 @@ int main() {
     curb::bench::end_row();
   }
   std::printf("(-1.00 marks an infeasible configuration)\n");
-  return 0;
+  return curb::bench::finish();
 }

@@ -115,5 +115,5 @@ int main() {
     curb::bench::print_cell(s.tps);
     curb::bench::end_row();
   }
-  return 0;
+  return curb::bench::finish();
 }

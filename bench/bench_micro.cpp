@@ -125,13 +125,13 @@ BENCHMARK(BM_SimulatorEvents);
 }  // namespace
 
 // Expanded BENCHMARK_MAIN with host profiling: CURB_PROF / CURB_PROF_CHROME
-// install the process profiler before any benchmark runs (common.hpp's
-// HostProfile writes the profile files and prints the host summary at exit).
+// install the process profiler before any benchmark runs, and finish() writes
+// the profile files and prints the host summary.
 int main(int argc, char** argv) {
-  curb::bench::HostProfile::install_from_env();
+  (void)curb::bench::BenchProcess::get();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return curb::bench::finish();
 }

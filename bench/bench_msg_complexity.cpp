@@ -200,5 +200,5 @@ int main() {
   if (!all_within) {
     std::printf("WARNING: a measured round exceeded the analytic bound\n");
   }
-  return 0;
+  return curb::bench::finish();
 }

@@ -135,5 +135,5 @@ int main() {
     }
     run_backend(inst, CapSolverBackend::kHeuristic, size);
   }
-  return 0;
+  return curb::bench::finish();
 }

@@ -10,117 +10,64 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "curb/core/env.hpp"
+#include "curb/core/exit_codes.hpp"
 #include "curb/core/network.hpp"
 #include "curb/core/options.hpp"
+#include "curb/core/settings.hpp"
 #include "curb/json/json.hpp"
 #include "curb/obs/analysis.hpp"
-#include "curb/obs/export.hpp"
 #include "curb/obs/report.hpp"
 #include "curb/obs/res/account.hpp"
-#include "curb/obs/res/report.hpp"
-#include "curb/prof/export.hpp"
 #include "curb/prof/profiler.hpp"
 #include "curb/sim/stats.hpp"
 
 namespace curb::bench {
 
-/// Environment-driven host profiling: set CURB_PROF to a path to write a
-/// collapsed-stack (flamegraph.pl) profile of the whole run, and/or
-/// CURB_PROF_CHROME for the Chrome-trace rendering. Either installs the
-/// process profiler for the main thread; at exit the profile files are
-/// written and a one-line host summary is printed. Host time never feeds the
-/// virtual clock, so profiled runs stay byte-identical to unprofiled ones.
-///
-/// Memory accounting rides the same exit path: CURB_MEM_OUT writes the
-/// per-tag allocation profile (curb-prof mem-report/mem-diff input) and
-/// CURB_MEM_FOLDED the collapsed-stack memory flamegraph (bytes per
-/// attribution frame; implies installing the profiler, which supplies the
-/// frames). Either latches the allocation accountant on — see
-/// curb::obs::res.
-class HostProfile {
- public:
-  /// Idempotent; benches call this from print_header so any bench binary
-  /// honours CURB_PROF without per-bench wiring.
-  static void install_from_env() { (void)instance(); }
+/// The CURB_* settings (core::settings_table()) applied on top of `base`,
+/// plus what the requested outputs switch on, so any bench binary honours the
+/// table without recompiling, e.g.
+///   CURB_FAULT='drop(p=0.05,cat=REPLY)' CURB_TS_OUT=ts.jsonl
+///     CURB_SLO='p99(core.request_latency_us) < 400ms' ./bench_fig5_pktin
+/// A bad value exits 2 naming the variable.
+inline core::RunSettings env_settings(core::CurbOptions base = {}) {
+  core::RunSettings settings;
+  settings.options = std::move(base);
+  std::string error;
+  if (!core::apply_env(settings, &error)) {
+    std::fprintf(stderr, "bench: %s\n", error.c_str());
+    std::exit(core::kExitUsage);
+  }
+  core::enable_outputs(settings.options, settings.outputs);
+  return settings;
+}
 
-  [[nodiscard]] static bool enabled() { return instance().active_; }
+/// Process-wide bench state: the outputs the environment asks for, the host
+/// profiler they may install (CURB_PROF, CURB_PROF_CHROME, CURB_MEM_FOLDED),
+/// and whether any artifact failed to write. Host time never feeds the
+/// virtual clock, so profiled runs stay byte-identical to unprofiled ones.
+class BenchProcess {
+ public:
+  static BenchProcess& get() {
+    static BenchProcess process;
+    return process;
+  }
+
+  const core::RunOutputs outputs = env_settings().outputs;
+  prof::Profiler profiler;
+  prof::StopWatch wall;
+  bool failed = false;
 
  private:
-  HostProfile() {
-    if (const char* path = std::getenv("CURB_PROF")) collapsed_path_ = path;
-    if (const char* path = std::getenv("CURB_PROF_CHROME")) chrome_path_ = path;
-    if (const char* path = std::getenv("CURB_MEM_OUT")) mem_out_path_ = path;
-    if (const char* path = std::getenv("CURB_MEM_FOLDED")) mem_folded_path_ = path;
-    active_ = !collapsed_path_.empty() || !chrome_path_.empty() ||
-              !mem_folded_path_.empty();
-    if (active_) prof::set_thread_profiler(&profiler_);
+  BenchProcess() {
+    if (core::wants_profiler(outputs)) prof::set_thread_profiler(&profiler);
   }
-
-  ~HostProfile() {
-    if (!active_ && mem_out_path_.empty()) return;
-    if (active_) prof::set_thread_profiler(nullptr);
-    const double wall_s = wall_.elapsed_ms() / 1000.0;
-    const std::uint64_t events = profiler_.calls("sim.event");
-    std::string written;
-    if (!collapsed_path_.empty() && prof::export_collapsed(profiler_, collapsed_path_)) {
-      written = collapsed_path_;
-    }
-    if (!chrome_path_.empty() && prof::export_chrome_profile(profiler_, chrome_path_)) {
-      if (!written.empty()) written += ", ";
-      written += chrome_path_;
-    }
-    if (obs::res::enabled()) {
-      const obs::res::MemSnapshot snap = obs::res::snapshot();
-      if (!mem_out_path_.empty() &&
-          obs::res::export_mem_profile(snap, mem_out_path_)) {
-        if (!written.empty()) written += ", ";
-        written += mem_out_path_;
-      }
-      if (!mem_folded_path_.empty() &&
-          obs::res::export_mem_collapsed(profiler_, obs::res::frame_allocations(),
-                                         mem_folded_path_)) {
-        if (!written.empty()) written += ", ";
-        written += mem_folded_path_;
-      }
-      const double denom = snap.total.alloc_bytes > 0
-                               ? static_cast<double>(snap.total.alloc_bytes)
-                               : 1.0;
-      std::fprintf(stderr,
-                   "mem: alloc=%.1fMiB peak=%.1fMiB tagged=%.1f%%\n",
-                   static_cast<double>(snap.total.alloc_bytes) / (1024.0 * 1024.0),
-                   static_cast<double>(snap.total.peak_live_bytes) /
-                       (1024.0 * 1024.0),
-                   100.0 * static_cast<double>(snap.tagged_alloc_bytes()) / denom);
-    }
-    if (active_) {
-      std::fprintf(stderr, "host: wall=%.2fs events/s=%.0f profile written to %s\n",
-                   wall_s, wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0,
-                   written.empty() ? "(none)" : written.c_str());
-    }
-  }
-
-  static HostProfile& instance() {
-    static HostProfile profile;
-    return profile;
-  }
-
-  friend class BenchResults;
-
-  prof::Profiler profiler_;
-  prof::StopWatch wall_;
-  std::string collapsed_path_;
-  std::string chrome_path_;
-  std::string mem_out_path_;
-  std::string mem_folded_path_;
-  bool active_ = false;
+  ~BenchProcess() { prof::set_thread_profiler(nullptr); }
 };
 
 void warm_bench_results();
@@ -132,7 +79,7 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
     return true;
   }();
   (void)unbuffered;
-  HostProfile::install_from_env();
+  (void)BenchProcess::get();
   // Birth the results singleton (and its entry StopWatch) now: the first
   // add() otherwise creates it mid-call and reports a ~0 ms first lap.
   warm_bench_results();
@@ -150,20 +97,6 @@ inline void print_row_header(const std::vector<std::string>& columns) {
 inline void print_cell(double value) { std::printf("%-18.2f", value); }
 inline void print_cell(const std::string& value) { std::printf("%-18s", value.c_str()); }
 inline void end_row() { std::printf("\n"); }
-
-/// Apply every option-affecting CURB_* environment variable (solver, fault
-/// plan, time-series telemetry, SLO rules — see core::curb_env_vars() for
-/// the documented table) so any bench binary honours them without
-/// recompiling, e.g.
-///   CURB_FAULT='drop(p=0.05,cat=REPLY)' CURB_TS_OUT=ts.jsonl
-///     CURB_SLO='p99(core.request_latency_us) < 400ms' ./bench_pkt_in_latency
-inline void apply_curb_env(core::CurbOptions& opts) {
-  std::string error;
-  if (!core::apply_env_to_options(opts, &error)) {
-    std::fprintf(stderr, "bench: %s\n", error.c_str());
-    std::exit(2);
-  }
-}
 
 /// Paper-calibrated options for the protocol benches: Internet2, f = 1,
 /// 500 ms timeout. The per-message overhead models the controller-side
@@ -185,15 +118,13 @@ inline core::CurbOptions paper_options() {
   // "application-specific waiting time" policy).
   opts.max_silent_rounds = 3;
   opts.op_time_mode = core::OpTimeMode::kMeasured;
-  opts.observability = core::env_observability_requested();
-  apply_curb_env(opts);
-  return opts;
+  return env_settings(opts).options;
 }
 
 /// Consolidated machine-readable bench results. Each bench appends one entry
-/// per measured configuration; the collected entries are written as a JSON
-/// array at process exit to CURB_BENCH_OUT (default BENCH_results.json; set
-/// it to the empty string to disable). When the configuration's network ran
+/// per measured configuration; finish() writes the collected entries as a
+/// JSON array to CURB_BENCH_OUT (default BENCH_results.json; set it to the
+/// empty string to disable). When the configuration's network ran
 /// with observability on, the entry also carries the end-to-end latency
 /// stats and the per-phase breakdown from curb-trace analysis.
 class BenchResults {
@@ -382,19 +313,19 @@ class BenchResults {
 
   friend void warm_bench_results();
 
+  friend int finish();
+
   BenchResults() = default;
-  ~BenchResults() {
-    if (entries_.empty()) return;
-    const char* env = std::getenv("CURB_BENCH_OUT");
-    const std::string path = env != nullptr ? env : "BENCH_results.json";
-    if (path.empty()) return;
-    std::ofstream out{path, std::ios::binary | std::ios::trunc};
-    if (!out) return;
-    out << "[\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      out << entries_[i] << (i + 1 < entries_.size() ? ",\n" : "\n");
-    }
-    out << "]\n";
+
+  [[nodiscard]] bool write(const core::RunOutputs& outputs) const {
+    if (entries_.empty()) return true;
+    return core::write_artifact("bench", outputs.bench_out.value_or("BENCH_results.json"), [&](std::ostream& out) {
+      out << "[\n";
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        out << entries_[i] << (i + 1 < entries_.size() ? ",\n" : "\n");
+      }
+      out << "]\n";
+    });
   }
 
   static BenchResults& instance() {
@@ -410,60 +341,26 @@ class BenchResults {
 
 inline void warm_bench_results() { (void)BenchResults::instance(); }
 
-/// Write whatever the CURB_* env vars request from this network's
-/// observatory. No-op when observability is off. Closes the trailing
-/// telemetry window first so the JSONL stream and the SLO report cover the
-/// whole run; breaches are summarized on stderr (benches keep exit 0 — the
-/// watchdog exit code belongs to curb-sim/curb-watch).
+/// Write whatever the CURB_* variables request from this network (see
+/// core::write_run_outputs); a failed write makes finish() return 1. SLO
+/// breaches are summarized on stderr but do not change the exit code: the
+/// watchdog exit code belongs to curb-sim and curb-watch.
 inline void export_obs_from_env(core::CurbNetwork& network) {
-  network.finalize_telemetry();
-  if (obs::SloEngine* slo = network.slo(); slo != nullptr) {
-    if (const auto path = core::env_get("CURB_SLO_OUT")) {
-      std::ofstream out{*path, std::ios::binary | std::ios::trunc};
-      if (out) slo->write_report_json(out);
-    }
-    if (slo->breached()) {
-      std::fprintf(stderr, "bench: %zu SLO breach(es):\n", slo->breaches().size());
-      std::ostringstream text;
-      slo->write_report_text(text);
-      std::fputs(text.str().c_str(), stderr);
-    }
+  BenchProcess& process = BenchProcess::get();
+  if (!core::write_run_outputs(network, process.outputs, "bench")) process.failed = true;
+}
+
+/// End of a bench main: write BENCH_results.json and the process artifacts
+/// (host profile, memory profile and flamegraph). Returns the exit code, 1
+/// when any artifact of the run could not be written.
+inline int finish() {
+  BenchProcess& process = BenchProcess::get();
+  if (!BenchResults::instance().write(process.outputs)) process.failed = true;
+  if (!core::write_run_outputs(process.profiler, process.wall.elapsed_ms() / 1000.0,
+                               process.outputs, "bench")) {
+    process.failed = true;
   }
-  if (const obs::net::LinkStats* links = network.link_stats(); links != nullptr) {
-    const obs::net::NodeNameFn names = network.link_node_names();
-    obs::net::LinkReportOptions report;
-    report.bandwidth_bps = network.options().link_model.bandwidth_bps;
-    report.elapsed_s = network.simulator().now().as_seconds_f();
-    if (const auto path = core::env_get("CURB_LINK_MATRIX")) {
-      (void)obs::net::export_link_matrix_json(*links, names, report, *path);
-    }
-    if (const auto path = core::env_get("CURB_LINK_CSV")) {
-      (void)obs::net::export_link_matrix_csv(*links, names, report, *path);
-    }
-    if (const auto path = core::env_get("CURB_LINK_DOT")) {
-      (void)obs::net::export_link_dot(*links, names, report, *path);
-    }
-  }
-  if (obs::net::MsgLedger* ledger = network.msg_ledger(); ledger != nullptr) {
-    if (const auto path = core::env_get("CURB_LEDGER_OUT")) {
-      (void)obs::net::export_ledger_jsonl(*ledger, *path);
-    }
-  }
-  obs::Observatory* obsy = network.observatory();
-  if (obsy == nullptr) return;
-  network.snapshot_runtime_metrics();
-  if (const char* path = std::getenv("CURB_TRACE")) {
-    obs::export_chrome_trace(obsy->tracer, path);
-  }
-  if (const char* path = std::getenv("CURB_TRACE_JSONL")) {
-    obs::export_spans_jsonl(obsy->tracer, path);
-  }
-  if (const char* path = std::getenv("CURB_METRICS_OUT")) {
-    obs::export_metrics_json(obsy->metrics, path);
-  }
-  if (const char* path = std::getenv("CURB_METRICS_CSV")) {
-    obs::export_metrics_csv(obsy->metrics, path);
-  }
+  return process.failed ? core::kExitFinding : core::kExitOk;
 }
 
 }  // namespace curb::bench

@@ -51,7 +51,7 @@ class CurbNetwork {
   [[nodiscard]] obs::Observatory* observatory() { return observatory_.get(); }
 
   /// Windowed telemetry collector; nullptr unless options.ts_window > 0 (or
-  /// options.slo_rules non-empty). Ticks from initialize() on.
+  /// options.slo_rules or options.ts_out non-empty). Ticks from initialize() on.
   [[nodiscard]] obs::TsCollector* ts() { return ts_.get(); }
   /// SLO watchdog; nullptr unless options.slo_rules is non-empty.
   [[nodiscard]] obs::SloEngine* slo() { return slo_.get(); }

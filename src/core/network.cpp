@@ -20,9 +20,11 @@ CurbNetwork::CurbNetwork(net::Topology topology, CurbOptions options)
   sigcache_baseline_ = crypto::SigCache::instance().stats();
   bus_ = std::make_unique<net::MessageBus<CurbMessage>>(sim_, topology_,
                                                         options_.link_model);
-  // The SLO watchdog needs windows to evaluate, and windows need the
-  // registry: slo_rules implies ts, and ts implies observability.
-  if (!options_.slo_rules.empty() && options_.ts_window <= sim::SimTime::zero()) {
+  // The SLO watchdog needs windows to evaluate, a ts_out stream needs
+  // windows to write, and windows need the registry: slo_rules and ts_out
+  // imply ts (100 ms windows unless set), and ts implies observability.
+  if ((!options_.slo_rules.empty() || !options_.ts_out.empty()) &&
+      options_.ts_window <= sim::SimTime::zero()) {
     options_.ts_window = sim::SimTime::millis(100);
   }
   if (options_.ts_window > sim::SimTime::zero()) options_.observability = true;

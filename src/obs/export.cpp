@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -24,14 +25,6 @@ void write_string_map(std::ostream& out,
         << "\"";
   }
   out << "}";
-}
-
-template <typename WriteFn>
-bool export_to_file(const std::string& path, WriteFn write) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write(out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -232,28 +225,16 @@ void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out) {
   }
 }
 
-bool export_spans_jsonl(const Tracer& tracer, const std::string& path) {
-  return export_to_file(path, [&](std::ostream& out) { write_spans_jsonl(tracer, out); });
+std::ofstream open_output(const std::string& path) {
+  return std::ofstream{path, std::ios::binary | std::ios::trunc};
 }
 
-bool export_chrome_trace(const Tracer& tracer, const std::string& path) {
-  return export_to_file(path, [&](std::ostream& out) { write_chrome_trace(tracer, out); });
-}
-
-bool export_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
-                         const std::string& path) {
-  return export_to_file(
-      path, [&](std::ostream& out) { write_chrome_trace(tracer, registry, out); });
-}
-
-bool export_metrics_json(const MetricsRegistry& registry, const std::string& path) {
-  return export_to_file(path,
-                        [&](std::ostream& out) { write_metrics_json(registry, out); });
-}
-
-bool export_metrics_csv(const MetricsRegistry& registry, const std::string& path) {
-  return export_to_file(path,
-                        [&](std::ostream& out) { write_metrics_csv(registry, out); });
+bool write_file(const std::string& path, const std::function<void(std::ostream&)>& write) {
+  std::ofstream out = open_output(path);
+  if (!out) return false;
+  write(out);
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace curb::obs

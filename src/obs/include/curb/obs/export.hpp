@@ -1,5 +1,7 @@
 #pragma once
 
+#include <fstream>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -40,12 +42,12 @@ void write_metrics_json(const MetricsRegistry& registry, std::ostream& out);
 /// spreadsheet-style diffing of bench runs.
 void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out);
 
-/// File-path conveniences; return false when the file cannot be opened.
-bool export_spans_jsonl(const Tracer& tracer, const std::string& path);
-bool export_chrome_trace(const Tracer& tracer, const std::string& path);
-bool export_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
-                         const std::string& path);
-bool export_metrics_json(const MetricsRegistry& registry, const std::string& path);
-bool export_metrics_csv(const MetricsRegistry& registry, const std::string& path);
+/// The one place an artifact file is opened: binary, truncated.
+[[nodiscard]] std::ofstream open_output(const std::string& path);
+
+/// Open `path`, run `write` on it and close it. False when the file cannot be
+/// opened or a write fails; the caller names the path in its diagnostic.
+[[nodiscard]] bool write_file(const std::string& path,
+                              const std::function<void(std::ostream&)>& write);
 
 }  // namespace curb::obs

@@ -36,19 +36,6 @@ void write_link_matrix_csv(const LinkStats& stats, const NodeNameFn& name,
 void write_link_dot(const LinkStats& stats, const NodeNameFn& name,
                     const LinkReportOptions& options, std::ostream& out);
 
-/// File-opening wrappers (false when the path cannot be opened).
-[[nodiscard]] bool export_link_matrix_json(const LinkStats& stats,
-                                           const NodeNameFn& name,
-                                           const LinkReportOptions& options,
-                                           const std::string& path);
-[[nodiscard]] bool export_link_matrix_csv(const LinkStats& stats,
-                                          const NodeNameFn& name,
-                                          const LinkReportOptions& options,
-                                          const std::string& path);
-[[nodiscard]] bool export_link_dot(const LinkStats& stats, const NodeNameFn& name,
-                                   const LinkReportOptions& options,
-                                   const std::string& path);
-
 /// `curb-trace complexity` renderers over audited rounds.
 void write_complexity_text(const std::vector<RoundComplexity>& rounds,
                            std::ostream& out);
@@ -58,8 +45,6 @@ void write_complexity_json(const std::vector<RoundComplexity>& rounds,
 /// Ledger JSONL: one {"category","key","msgs","bytes"} object per line,
 /// deterministically ordered.
 void write_ledger_jsonl(const MsgLedger& ledger, std::ostream& out);
-[[nodiscard]] bool export_ledger_jsonl(const MsgLedger& ledger,
-                                       const std::string& path);
 
 /// One parsed ledger row (`parse_ledger_jsonl` round-trips write_ledger_jsonl
 /// and throws std::runtime_error on a malformed line, an unknown key, or a

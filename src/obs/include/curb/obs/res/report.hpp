@@ -53,10 +53,4 @@ inline constexpr prof::PerfDiffOptions kMemDiffOptions{.threshold_pct = 25.0,
     const MemSnapshot& base, const MemSnapshot& candidate,
     const prof::PerfDiffOptions& options = kMemDiffOptions);
 
-/// File-path conveniences; false when the file cannot be opened.
-bool export_mem_profile(const MemSnapshot& snap, const std::string& path);
-bool export_mem_collapsed(const prof::Profiler& profiler,
-                          const std::vector<FrameAlloc>& frames,
-                          const std::string& path);
-
 }  // namespace curb::obs::res

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -102,41 +101,6 @@ void write_link_dot(const LinkStats& stats, const NodeNameFn& name,
     out << "\", " << attrs << "];\n";
   }
   out << "}\n";
-}
-
-namespace {
-
-template <typename Fn>
-bool export_to(const std::string& path, Fn&& write) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write(out);
-  return out.good();
-}
-
-}  // namespace
-
-bool export_link_matrix_json(const LinkStats& stats, const NodeNameFn& name,
-                             const LinkReportOptions& options,
-                             const std::string& path) {
-  return export_to(path, [&](std::ostream& out) {
-    write_link_matrix_json(stats, name, options, out);
-  });
-}
-
-bool export_link_matrix_csv(const LinkStats& stats, const NodeNameFn& name,
-                            const LinkReportOptions& options,
-                            const std::string& path) {
-  return export_to(path, [&](std::ostream& out) {
-    write_link_matrix_csv(stats, name, options, out);
-  });
-}
-
-bool export_link_dot(const LinkStats& stats, const NodeNameFn& name,
-                     const LinkReportOptions& options, const std::string& path) {
-  return export_to(path, [&](std::ostream& out) {
-    write_link_dot(stats, name, options, out);
-  });
 }
 
 void write_complexity_text(const std::vector<RoundComplexity>& rounds,
@@ -291,11 +255,6 @@ void write_ledger_jsonl(const MsgLedger& ledger, std::ostream& out) {
         << json::escape(key.second) << "\",\"msgs\":" << entry.msgs
         << ",\"bytes\":" << entry.bytes << "}\n";
   }
-}
-
-bool export_ledger_jsonl(const MsgLedger& ledger, const std::string& path) {
-  return export_to(path,
-                   [&](std::ostream& out) { write_ledger_jsonl(ledger, out); });
 }
 
 std::vector<LedgerRow> parse_ledger_jsonl(std::istream& in) {

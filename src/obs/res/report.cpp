@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 #include "curb/json/json.hpp"
+#include "curb/prof/export.hpp"
 
 namespace curb::obs::res {
 
@@ -153,19 +153,13 @@ void write_mem_collapsed(const prof::Profiler& profiler,
   const std::size_t count = std::min(frames.size(), nodes.size());
   for (std::size_t i = 1; i < count; ++i) {
     if (frames[i].bytes == 0) continue;
-    // Rebuild the root-to-frame path; labels reuse the collapsed-stack
-    // sanitization rules (';'/whitespace -> '_') of the time exporter.
+    // Rebuild the root-to-frame path in the time exporter's frame format.
     std::vector<std::uint32_t> path;
     for (std::uint32_t n = static_cast<std::uint32_t>(i); n != 0; n = nodes[n].parent) {
       path.push_back(n);
     }
     for (std::size_t p = path.size(); p-- > 0;) {
-      std::string frame = nodes[path[p]].label;
-      if (frame.empty()) frame = "(anonymous)";
-      for (char& c : frame) {
-        if (c == ';' || c == ' ' || c == '\t' || c == '\n') c = '_';
-      }
-      out << frame << (p == 0 ? "" : ";");
+      out << prof::sanitize_frame(nodes[path[p]].label) << (p == 0 ? "" : ";");
     }
     out << " " << frames[i].bytes << "\n";
   }
@@ -193,22 +187,6 @@ prof::BenchEntry mem_entry(const MemSnapshot& snap) {
 prof::PerfDiffResult mem_diff(const MemSnapshot& base, const MemSnapshot& candidate,
                               const prof::PerfDiffOptions& options) {
   return prof::perf_diff({mem_entry(base)}, {mem_entry(candidate)}, options);
-}
-
-bool export_mem_profile(const MemSnapshot& snap, const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_mem_profile_json(snap, out);
-  return static_cast<bool>(out);
-}
-
-bool export_mem_collapsed(const prof::Profiler& profiler,
-                          const std::vector<FrameAlloc>& frames,
-                          const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_mem_collapsed(profiler, frames, out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace curb::obs::res

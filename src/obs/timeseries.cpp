@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "curb/json/json.hpp"
+#include "curb/obs/export.hpp"
 
 namespace curb::obs {
 
@@ -72,7 +73,7 @@ void TsCollector::set_presample_hook(std::function<void()> hook) {
 void TsCollector::set_window_callback(WindowCallback cb) { on_window_ = std::move(cb); }
 
 bool TsCollector::set_output(const std::string& path) {
-  out_.open(path, std::ios::binary | std::ios::trunc);
+  out_ = open_output(path);
   streaming_ = static_cast<bool>(out_);
   return streaming_;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -12,8 +11,6 @@
 
 namespace curb::prof {
 
-namespace {
-
 std::string sanitize_frame(const std::string& label) {
   std::string out = label.empty() ? std::string{"(anonymous)"} : label;
   for (char& c : out) {
@@ -21,6 +18,8 @@ std::string sanitize_frame(const std::string& label) {
   }
   return out;
 }
+
+namespace {
 
 void collapsed_walk(const Profiler& profiler, std::uint32_t node,
                     const std::string& prefix, std::ostream& out) {
@@ -162,20 +161,6 @@ void write_profile_report(const std::vector<FoldedLine>& lines, std::ostream& ou
                   entry.second);
     out << buf;
   }
-}
-
-bool export_collapsed(const Profiler& profiler, const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_collapsed(profiler, out);
-  return static_cast<bool>(out);
-}
-
-bool export_chrome_profile(const Profiler& profiler, const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_chrome_profile(profiler, out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace curb::prof

@@ -9,6 +9,11 @@
 
 namespace curb::prof {
 
+/// One collapsed-stack frame: `label` with ';' and whitespace replaced by
+/// '_', or "(anonymous)" when empty. Host-time and memory flamegraphs share
+/// this format.
+[[nodiscard]] std::string sanitize_frame(const std::string& label);
+
 /// Collapsed-stack export, flamegraph.pl-compatible: one line per tree node
 /// with nonzero self time, `frame;frame;frame <exclusive_ns>`. Frames are the
 /// attribution labels root-to-leaf; ';' and whitespace inside labels are
@@ -37,9 +42,5 @@ struct FoldedLine {
 /// labels by self time.
 void write_profile_report(const std::vector<FoldedLine>& lines, std::ostream& out,
                           std::size_t top_n = 20);
-
-/// File-path conveniences; return false when the file cannot be opened.
-bool export_collapsed(const Profiler& profiler, const std::string& path);
-bool export_chrome_profile(const Profiler& profiler, const std::string& path);
 
 }  // namespace curb::prof

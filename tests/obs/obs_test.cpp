@@ -449,10 +449,14 @@ TEST(Export, DeterministicAcrossIdenticalRuns) {
 TEST(Export, PathHelpersReportFailure) {
   Tracer t;
   MetricsRegistry reg;
-  EXPECT_FALSE(export_chrome_trace(t, "/nonexistent-dir/trace.json"));
-  EXPECT_FALSE(export_spans_jsonl(t, "/nonexistent-dir/spans.jsonl"));
-  EXPECT_FALSE(export_metrics_json(reg, "/nonexistent-dir/m.json"));
-  EXPECT_FALSE(export_metrics_csv(reg, "/nonexistent-dir/m.csv"));
+  EXPECT_FALSE(write_file("/nonexistent-dir/trace.json",
+                          [&](std::ostream& out) { write_chrome_trace(t, out); }));
+  EXPECT_FALSE(write_file("/nonexistent-dir/spans.jsonl",
+                          [&](std::ostream& out) { write_spans_jsonl(t, out); }));
+  EXPECT_FALSE(write_file("/nonexistent-dir/m.json",
+                          [&](std::ostream& out) { write_metrics_json(reg, out); }));
+  EXPECT_FALSE(write_file("/nonexistent-dir/m.csv",
+                          [&](std::ostream& out) { write_metrics_csv(reg, out); }));
 }
 
 TEST(Observatory, EnableBindsClockAndStartsTracer) {

@@ -28,6 +28,7 @@
 #include <cstring>
 #include <string>
 
+#include "curb/core/settings.hpp"
 #include "curb/opt/instance_gen.hpp"
 #include "curb/opt/instance_io.hpp"
 #include "curb/opt/solver.hpp"
@@ -61,20 +62,26 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--switches") profile.switches = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--controllers") profile.controllers = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--f") profile.faults_tolerated = static_cast<int>(std::strtol(value(), nullptr, 10));
-    else if (arg == "--slack") profile.capacity_slack = std::strtod(value(), nullptr);
+    auto count = [](const std::string& flag, const char* text) {
+      return curb::core::u64_arg("curb-capgen", flag.c_str(), text);
+    };
+    auto number = [](const std::string& flag, const char* text) {
+      return curb::core::double_arg("curb-capgen", flag.c_str(), text);
+    };
+    if (arg == "--switches") profile.switches = count(arg, value());
+    else if (arg == "--controllers") profile.controllers = count(arg, value());
+    else if (arg == "--f") profile.faults_tolerated = static_cast<int>(count(arg, value()));
+    else if (arg == "--slack") profile.capacity_slack = number(arg, value());
     else if (arg == "--dcs") profile.cs_delay_cap = true;
     else if (arg == "--dcc") profile.cc_delay_cap = true;
-    else if (arg == "--byzantine") profile.byzantine_frac = std::strtod(value(), nullptr);
-    else if (arg == "--leaders") profile.fixed_leader_frac = std::strtod(value(), nullptr);
-    else if (arg == "--seed") profile.seed = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--byzantine") profile.byzantine_frac = number(arg, value());
+    else if (arg == "--leaders") profile.fixed_leader_frac = number(arg, value());
+    else if (arg == "--seed") profile.seed = count(arg, value());
     else if (arg == "--in") in_path = value();
     else if (arg == "--out") out_path = value();
     else if (arg == "--solve") solve = true;
     else if (arg == "--backend") backend_name = value();
-    else if (arg == "--wall-ms") milp.max_wall_ms = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--wall-ms") milp.max_wall_ms = static_cast<double>(count(arg, value()));
     else if (arg == "--prove") prove = true;
     else usage(argv[0]);
   }

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/core/settings.hpp"
 #include "curb/obs/res/report.hpp"
 #include "curb/prof/bench_diff.hpp"
 #include "curb/prof/export.hpp"
@@ -63,14 +64,12 @@ using curb::core::kExitUsage;
   std::exit(kExitUsage);
 }
 
-double parse_double(const char* argv0, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: bad number '%s'\n", argv0, text);
-    std::exit(kExitUsage);
-  }
-  return value;
+/// The number after flag args[i] (advancing i); exit 2 when it is missing or
+/// malformed.
+double number_arg(const char* argv0, const std::vector<std::string>& args, std::size_t& i) {
+  if (i + 1 >= args.size()) usage(argv0);
+  const std::string& flag = args[i];
+  return curb::core::double_arg(argv0, flag.c_str(), args[++i].c_str());
 }
 
 /// Open and parse one input file; exit 2 (usage/parse) on any failure.
@@ -96,7 +95,7 @@ int run_report(const char* argv0, const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--top") {
       if (i + 1 >= args.size()) usage(argv0);
-      top_n = static_cast<std::size_t>(parse_double(argv0, args[++i].c_str()));
+      top_n = curb::core::u64_arg(argv0, "--top", args[++i].c_str());
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -117,14 +116,11 @@ int run_perf_diff(const char* argv0, const std::vector<std::string>& args) {
     if (args[i] == "--json") {
       as_json = true;
     } else if (args[i] == "--threshold") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.threshold_pct = parse_double(argv0, args[++i].c_str());
+      options.threshold_pct = number_arg(argv0, args, i);
     } else if (args[i] == "--host-threshold") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.host_threshold_pct = parse_double(argv0, args[++i].c_str());
+      options.host_threshold_pct = number_arg(argv0, args, i);
     } else if (args[i] == "--floor") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.floor = parse_double(argv0, args[++i].c_str());
+      options.floor = number_arg(argv0, args, i);
     } else if (args[i] == "--warn-only") {
       options.warn_only = true;
     } else if (args[i].rfind("--", 0) == 0) {
@@ -182,11 +178,9 @@ int run_mem_diff(const char* argv0, const std::vector<std::string>& args) {
   curb::prof::PerfDiffOptions options = curb::obs::res::kMemDiffOptions;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threshold") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.threshold_pct = parse_double(argv0, args[++i].c_str());
+      options.threshold_pct = number_arg(argv0, args, i);
     } else if (args[i] == "--floor") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.floor = parse_double(argv0, args[++i].c_str());
+      options.floor = number_arg(argv0, args, i);
     } else if (args[i] == "--warn-only") {
       options.warn_only = true;
     } else if (args[i].rfind("--", 0) == 0) {

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/core/settings.hpp"
 #include "curb/json/json.hpp"
 #include "curb/obs/analysis.hpp"
 #include "curb/obs/export.hpp"
@@ -99,12 +100,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--ledger") {
       ledger_path = value();
     } else if (arg == "--limit") {
-      limit = std::strtoull(value(), nullptr, 10);
+      limit = curb::core::u64_arg("curb-trace", "--limit", value());
       limit_set = true;
     } else if (arg == "--threshold") {
-      diff_options.threshold_pct = std::strtod(value(), nullptr);
+      diff_options.threshold_pct = curb::core::double_arg("curb-trace", "--threshold", value());
     } else if (arg == "--floor") {
-      diff_options.floor_us = std::strtoll(value(), nullptr, 10);
+      diff_options.floor_us =
+          static_cast<std::int64_t>(curb::core::u64_arg("curb-trace", "--floor", value()));
     } else if (!arg.empty() && arg[0] == '-') {
       usage(argv[0]);
     } else {

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/core/settings.hpp"
 #include "curb/obs/slo.hpp"
 #include "curb/obs/timeseries.hpp"
 
@@ -86,13 +87,16 @@ CliOptions parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [](const std::string& flag, const char* text) {
+      return curb::core::u64_arg("curb-watch", flag.c_str(), text);
+    };
     if (arg == "--slo") opts.slo_rules = value();
     else if (arg == "--follow") opts.follow = true;
-    else if (arg == "--idle-ms") opts.idle_ms = std::strtol(value(), nullptr, 10);
-    else if (arg == "--poll-ms") opts.poll_ms = std::strtol(value(), nullptr, 10);
+    else if (arg == "--idle-ms") opts.idle_ms = static_cast<long>(number(arg, value()));
+    else if (arg == "--poll-ms") opts.poll_ms = static_cast<long>(number(arg, value()));
     else if (arg == "--series") opts.series_filters.emplace_back(value());
-    else if (arg == "--links") opts.links = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--width") opts.width = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--links") opts.links = number(arg, value());
+    else if (arg == "--width") opts.width = number(arg, value());
     else if (arg == "--report") opts.report_file = value();
     else if (arg == "--quiet") opts.quiet = true;
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
@@ -375,13 +379,9 @@ int main(int argc, char** argv) {
     if (cli.links > 0) render_links(windows, cli.links);
   }
 
-  if (!cli.report_file.empty()) {
-    std::ofstream out{cli.report_file, std::ios::binary | std::ios::trunc};
-    if (!out) {
-      std::fprintf(stderr, "curb-watch: cannot write %s\n", cli.report_file.c_str());
-      return curb::core::kExitFinding;
-    }
-    engine.write_report_json(out);
+  if (!curb::core::write_artifact("curb-watch", cli.report_file,
+                                  [&](std::ostream& out) { engine.write_report_json(out); })) {
+    return curb::core::kExitFinding;
   }
   if (engine.breached()) {
     std::fprintf(stderr, "curb-watch: %zu SLO breach(es)\n", engine.breaches().size());
