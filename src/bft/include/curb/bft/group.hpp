@@ -2,16 +2,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "curb/bft/consensus.hpp"
 #include "curb/bft/replica.hpp"
 #include "curb/sim/simulator.hpp"
 #include "curb/sim/time.hpp"
 
 namespace curb::bft {
 
-/// Self-contained PBFT group harness: n replicas exchanging messages over a
+/// Self-contained BFT group harness: n replicas exchanging messages over a
 /// uniform-delay in-memory link. Used by tests and by standalone BFT
 /// benchmarks; the Curb core wires replicas over the geographic MessageBus
 /// instead.
@@ -22,17 +22,24 @@ class PbftGroup {
     sim::SimTime link_delay = sim::SimTime::millis(1);
     sim::SimTime view_change_timeout = sim::SimTime::millis(500);
     ConsensusEngine engine = ConsensusEngine::kPbft;
+    /// Observability (nullptr disables): spans go on track "replica-<i>"
+    /// and spans and metrics are named after the engine.
+    obs::Observatory* obs = nullptr;
   };
 
   PbftGroup(sim::Simulator& sim, Options options) : sim_{sim}, options_{options} {
     delivered_.resize(options.group_size);
     for (std::uint32_t i = 0; i < options.group_size; ++i) {
       ReplicaConfig cfg;
+      cfg.engine = options.engine;
       cfg.replica_index = i;
       cfg.group_size = options.group_size;
       cfg.view_change_timeout = options.view_change_timeout;
-      replicas_.push_back(make_replica(
-          options.engine, cfg, sim,
+      cfg.obs = options.obs;
+      cfg.span_track = "replica-" + std::to_string(i);
+      cfg.span_prefix = to_string(options.engine);
+      replicas_.push_back(std::make_unique<Replica>(
+          cfg, sim,
           [this, i](std::uint32_t dest, const PbftMessage& msg) {
             ++messages_sent_;
             sim_.schedule(options_.link_delay,
@@ -44,7 +51,7 @@ class PbftGroup {
     }
   }
 
-  [[nodiscard]] ConsensusReplica& replica(std::uint32_t i) { return *replicas_[i]; }
+  [[nodiscard]] Replica& replica(std::uint32_t i) { return *replicas_[i]; }
   [[nodiscard]] std::size_t size() const { return replicas_.size(); }
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
 
@@ -59,7 +66,7 @@ class PbftGroup {
   }
 
   /// Leader of the current view of replica 0 (all agree in steady state).
-  [[nodiscard]] ConsensusReplica& current_leader() {
+  [[nodiscard]] Replica& current_leader() {
     return *replicas_[replicas_[0]->leader_index()];
   }
 
@@ -73,7 +80,7 @@ class PbftGroup {
  private:
   sim::Simulator& sim_;
   Options options_;
-  std::vector<std::unique_ptr<ConsensusReplica>> replicas_;
+  std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<std::vector<Delivery>> delivered_;
   std::uint64_t messages_sent_ = 0;
 };

@@ -20,11 +20,11 @@ FlatPbftBaseline::FlatPbftBaseline(net::Topology topology, CurbOptions options)
   quorum_ = f + 1;
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    bft::PbftReplica::Config cfg;
+    bft::ReplicaConfig cfg;
     cfg.replica_index = i;
     cfg.group_size = n;
     cfg.view_change_timeout = options_.pbft_timeout;
-    replicas_.push_back(std::make_unique<bft::PbftReplica>(
+    replicas_.push_back(std::make_unique<bft::Replica>(
         cfg, sim_,
         [this, i](std::uint32_t dest, const bft::PbftMessage& msg) {
           PbftEnvelope envelope{0, 0, msg};

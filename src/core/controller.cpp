@@ -130,6 +130,7 @@ void Controller::rebuild_replicas() {
   for (const auto& [instance, members] : wanted) {
     if (replicas_.contains(instance)) continue;
     bft::ReplicaConfig cfg;
+    cfg.engine = network_.options().consensus_engine;
     const auto self_it = std::find(members.begin(), members.end(), id_);
     cfg.replica_index = static_cast<std::uint32_t>(self_it - members.begin());
     cfg.group_size = members.size();
@@ -150,8 +151,8 @@ void Controller::rebuild_replicas() {
         return verify_tx_list_payload(bft::payload_digest(payload), payload);
       };
     }
-    auto replica = bft::make_replica(
-        network_.options().consensus_engine, cfg, network_.simulator(),
+    auto replica = std::make_unique<bft::Replica>(
+        cfg, network_.simulator(),
         [this, instance, members](std::uint32_t dest, const bft::PbftMessage& msg) {
           PbftEnvelope envelope{instance, state_.epoch(), msg};
           send_to_controller(members[dest], CurbMessage{std::move(envelope)});
@@ -195,6 +196,7 @@ void Controller::rebuild_replicas() {
   } else if (committee_changed) {
     retire_final_replica();
     bft::ReplicaConfig cfg;
+    cfg.engine = network_.options().consensus_engine;
     cfg.replica_index = *state_.final_replica_index(id_);
     cfg.group_size = committee.size();
     cfg.view_change_timeout = options.pbft_timeout;
@@ -218,8 +220,8 @@ void Controller::rebuild_replicas() {
         return verify_block_txs(block.hash(), block);
       };
     }
-    final_replica_ = bft::make_replica(
-        network_.options().consensus_engine, cfg, network_.simulator(),
+    final_replica_ = std::make_unique<bft::Replica>(
+        cfg, network_.simulator(),
         [this, committee](std::uint32_t dest, const bft::PbftMessage& msg) {
           PbftEnvelope envelope{PbftEnvelope::kFinalInstance, state_.epoch(), msg};
           send_to_controller(committee[dest], CurbMessage{std::move(envelope)});
@@ -258,7 +260,7 @@ void Controller::retire_final_replica() {
   // the stack unwinds (same lifetime discipline as retired_replicas_).
   network_.simulator().schedule(
       sim::SimTime::zero(),
-      [doomed = std::shared_ptr<bft::ConsensusReplica>(std::move(final_replica_))] {});
+      [doomed = std::shared_ptr<bft::Replica>(std::move(final_replica_))] {});
   final_replica_ = nullptr;
 }
 
@@ -490,7 +492,7 @@ bool Controller::verify_block_txs(const crypto::Hash256& hash,
   return ok;
 }
 
-bft::ConsensusReplica* Controller::replica_for(std::uint32_t instance) {
+bft::Replica* Controller::replica_for(std::uint32_t instance) {
   if (instance == PbftEnvelope::kFinalInstance) return final_replica_.get();
   const auto it = replicas_.find(instance);
   if (it != replicas_.end()) return it->second.get();
@@ -596,7 +598,7 @@ void Controller::on_request(const sdn::RequestMsg& request) {
   pending_requests_[instance].emplace(key, request);
   arm_request_watchdog(instance, request);
 
-  bft::ConsensusReplica* replica = replica_for(instance);
+  bft::Replica* replica = replica_for(instance);
   if (replica != nullptr && replica->is_leader()) {
     handle_request_as_leader(instance, request);
   }
@@ -752,7 +754,7 @@ std::vector<std::uint8_t> Controller::compute_packet_in_config(
 void Controller::flush_request_buffer(std::uint32_t instance) {
   auto it = request_buffer_.find(instance);
   if (it == request_buffer_.end() || it->second.empty()) return;
-  bft::ConsensusReplica* replica = replica_for(instance);
+  bft::Replica* replica = replica_for(instance);
   if (replica == nullptr || !replica->is_leader()) return;
 
   // Non-parallel mode: wait until this group's previous txList is on-chain
@@ -779,7 +781,7 @@ void Controller::on_pbft_envelope(net::NodeId /*from*/, const PbftEnvelope& enve
   // Routing is purely by instance id: messages for dissolved groups find no
   // replica and are dropped; surviving instances keep consuming messages
   // that were in flight across a reassignment.
-  bft::ConsensusReplica* replica = replica_for(envelope.instance);
+  bft::Replica* replica = replica_for(envelope.instance);
   if (replica != nullptr) replica->on_message(envelope.message);
 }
 
@@ -1040,7 +1042,7 @@ void Controller::rehandle_stale_reassignment(const chain::Transaction& tx) {
   const std::uint32_t gid = state_.group_of_switch(tx.switch_id());
   const GroupInfo& group = state_.group(gid);
   const std::uint32_t instance = state_.instance_of_group(gid);
-  bft::ConsensusReplica* replica = replica_for(instance);
+  bft::Replica* replica = replica_for(instance);
   if (replica == nullptr || !replica->is_leader()) return;
 
   // Reconstruct the unresolved accusations and run them through the normal
@@ -1119,7 +1121,7 @@ void Controller::apply_reassignment(const chain::Transaction& tx, std::uint64_t 
     }
     pending_requests_ = std::move(moved);
     for (auto& [instance, request] : to_rehandle) {
-      bft::ConsensusReplica* replica = replica_for(instance);
+      bft::Replica* replica = replica_for(instance);
       if (replica == nullptr || !replica->is_leader()) continue;
       // Allow re-handling even if this node handled it under the old group.
       handled_requests_.erase(RequestKey{request.switch_id, request.request_id});
@@ -1176,13 +1178,13 @@ void Controller::arm_request_watchdog(std::uint32_t instance,
         const auto git = pending_requests_.find(instance);
         if (git == pending_requests_.end() || !git->second.contains(key)) return;
         // The request is still unserved: depose the group leader.
-        bft::ConsensusReplica* replica = replica_for(instance);
+        bft::Replica* replica = replica_for(instance);
         if (replica != nullptr && !replica->is_leader()) replica->force_view_change();
       });
 }
 
 void Controller::rehandle_pending(std::uint32_t instance) {
-  bft::ConsensusReplica* replica = replica_for(instance);
+  bft::Replica* replica = replica_for(instance);
   if (replica == nullptr || !replica->is_leader()) return;
   const auto git = pending_requests_.find(instance);
   if (git == pending_requests_.end()) return;

@@ -51,7 +51,7 @@ class FlatPbftBaseline {
   std::unique_ptr<net::MessageBus<CurbMessage>> bus_;
   std::vector<net::NodeId> controller_nodes_;
   std::vector<net::NodeId> switch_nodes_;
-  std::vector<std::unique_ptr<bft::PbftReplica>> replicas_;
+  std::vector<std::unique_ptr<bft::Replica>> replicas_;
   std::vector<Request> requests_;
   std::uint64_t next_request_id_ = 1;
   std::size_t quorum_ = 0;  // f+1 over the global group

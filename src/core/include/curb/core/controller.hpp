@@ -8,7 +8,7 @@
 #include <set>
 #include <vector>
 
-#include "curb/bft/consensus.hpp"
+#include "curb/bft/replica.hpp"
 #include "curb/chain/blockchain.hpp"
 #include "curb/core/assignment_state.hpp"
 #include "curb/core/messages.hpp"
@@ -143,7 +143,7 @@ class Controller {
   /// send() so dest-dependent tampering still applies.
   void broadcast_to_controllers(const std::vector<std::uint32_t>& controllers,
                                 CurbMessage msg);
-  [[nodiscard]] bft::ConsensusReplica* replica_for(std::uint32_t instance);
+  [[nodiscard]] bft::Replica* replica_for(std::uint32_t instance);
 
   // --- transaction signature verification (verify_signatures mode) ---
   // Verdicts are memoized by payload digest / block hash on top of the
@@ -164,15 +164,15 @@ class Controller {
   AssignmentState state_;
   std::unique_ptr<chain::Blockchain> blockchain_;
   /// Intra-group consensus replicas keyed by membership-stable instance id.
-  std::map<std::uint32_t, std::unique_ptr<bft::ConsensusReplica>> replicas_;
+  std::map<std::uint32_t, std::unique_ptr<bft::Replica>> replicas_;
   /// Replicas of groups replaced by a reassignment, kept for a grace period
   /// so in-flight consensus can still land on the chain (where stale
   /// reassignments are re-handled) instead of being silently destroyed.
-  std::map<std::uint32_t, std::unique_ptr<bft::ConsensusReplica>> retired_replicas_;
+  std::map<std::uint32_t, std::unique_ptr<bft::Replica>> retired_replicas_;
   /// Every (instance -> members) this controller has ever adopted; lets
   /// final-committee members validate AGREEs from recently retired groups.
   std::map<std::uint32_t, std::vector<std::uint32_t>> known_instances_;
-  std::unique_ptr<bft::ConsensusReplica> final_replica_;
+  std::unique_ptr<bft::Replica> final_replica_;
   /// Committee the final replica was built for (kept across reassignments
   /// while the committee is unchanged).
   std::vector<std::uint32_t> final_committee_cache_;

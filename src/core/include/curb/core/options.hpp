@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "curb/bft/consensus.hpp"
+#include "curb/bft/replica.hpp"
 #include "curb/net/link_model.hpp"
 #include "curb/opt/cap.hpp"
 #include "curb/opt/solver.hpp"

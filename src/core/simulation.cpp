@@ -222,9 +222,12 @@ std::uint64_t CurbSimulation::total_messages() const {
 }
 
 bool CurbSimulation::chains_consistent() const {
+  // A crashed controller has no chain, so it cannot share the others' view.
+  if (!network_->controller(0).has_blockchain()) return false;
   const auto& reference = network_->controller(0).blockchain();
   for (std::uint32_t c = 1; c < network_->num_controllers(); ++c) {
-    if (!network_->controller(c).blockchain().same_view_as(reference)) return false;
+    const Controller& ctrl = network_->controller(c);
+    if (!ctrl.has_blockchain() || !ctrl.blockchain().same_view_as(reference)) return false;
   }
   return true;
 }
@@ -248,7 +251,11 @@ bool CurbSimulation::chains_prefix_consistent() const {
 }
 
 std::uint64_t CurbSimulation::chain_height() const {
-  return network_->controller(0).blockchain().height();
+  for (std::uint32_t c = 0; c < network_->num_controllers(); ++c) {
+    const Controller& ctrl = network_->controller(c);
+    if (!ctrl.crashed() && ctrl.has_blockchain()) return ctrl.blockchain().height();
+  }
+  return 0;
 }
 
 }  // namespace curb::core

@@ -1,9 +1,11 @@
-#include "curb/bft/hotstuff.hpp"
-
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "curb/bft/group.hpp"
 #include "curb/bft/replica.hpp"
+#include "curb/obs/observatory.hpp"
 #include "curb/sim/simulator.hpp"
 
 namespace curb::bft {
@@ -19,58 +21,6 @@ PbftGroup::Options hs_options(std::size_t n = 4) {
 }
 
 std::vector<std::uint8_t> payload(std::string_view s) { return {s.begin(), s.end()}; }
-
-TEST(Hotstuff, RejectsBadConfig) {
-  sim::Simulator sim;
-  const auto noop_send = [](std::uint32_t, const PbftMessage&) {};
-  const auto noop_deliver = [](std::uint64_t, const std::vector<std::uint8_t>&) {};
-  ReplicaConfig too_small;
-  too_small.group_size = 3;
-  EXPECT_THROW(HotstuffReplica(too_small, sim, noop_send, noop_deliver),
-               std::invalid_argument);
-  ReplicaConfig bad_index;
-  bad_index.replica_index = 9;
-  EXPECT_THROW(HotstuffReplica(bad_index, sim, noop_send, noop_deliver),
-               std::invalid_argument);
-}
-
-TEST(Hotstuff, NonLeaderCannotPropose) {
-  sim::Simulator sim;
-  PbftGroup group{sim, hs_options()};
-  EXPECT_THROW((void)group.replica(1).propose(payload("x")), std::logic_error);
-}
-
-TEST(Hotstuff, AllHonestReplicasCommit) {
-  sim::Simulator sim;
-  PbftGroup group{sim, hs_options()};
-  group.replica(0).propose(payload("linear"));
-  sim.run();
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(group.delivered(i).size(), 1u) << "replica " << i;
-    EXPECT_EQ(group.delivered(i)[0].payload, payload("linear"));
-  }
-}
-
-TEST(Hotstuff, SequentialProposalsDeliverInOrder) {
-  sim::Simulator sim;
-  PbftGroup group{sim, hs_options(7)};
-  for (int i = 0; i < 5; ++i) group.replica(0).propose(payload("p" + std::to_string(i)));
-  sim.run();
-  for (std::uint32_t i = 0; i < 7; ++i) {
-    ASSERT_EQ(group.delivered(i).size(), 5u);
-    EXPECT_EQ(group.delivered(i), group.delivered(0));
-  }
-}
-
-TEST(Hotstuff, ToleratesFSilentFollowers) {
-  sim::Simulator sim;
-  PbftGroup group{sim, hs_options(7)};  // f = 2
-  group.replica(3).set_behavior(Behavior::kSilent);
-  group.replica(6).set_behavior(Behavior::kSilent);
-  group.replica(0).propose(payload("resilient"));
-  sim.run_until(400_ms);
-  EXPECT_GE(group.replicas_delivered_at_least(1), 5u);
-}
 
 TEST(Hotstuff, EquivocatingLeaderCannotCommitConflicting) {
   sim::Simulator sim;
@@ -113,17 +63,6 @@ TEST(Hotstuff, LinearMessageComplexity) {
   EXPECT_LT(big / small, 8.0);
 }
 
-TEST(Hotstuff, DeterministicAcrossRuns) {
-  auto run_once = [] {
-    sim::Simulator sim;
-    PbftGroup group{sim, hs_options(7)};
-    for (int i = 0; i < 3; ++i) group.replica(0).propose({static_cast<std::uint8_t>(i)});
-    sim.run();
-    return group.messages_sent();
-  };
-  EXPECT_EQ(run_once(), run_once());
-}
-
 TEST(Hotstuff, IgnoresPbftTraffic) {
   sim::Simulator sim;
   PbftGroup group{sim, hs_options()};
@@ -148,14 +87,64 @@ TEST(Hotstuff, RejectsForgedQc) {
   EXPECT_TRUE(group.delivered(1).empty());
 }
 
-TEST(MakeReplica, FactoryProducesRequestedEngine) {
+TEST(ReplicaEngine, ConfigSelectsVoteRule) {
+  // The same replica speaks PBFT or HotStuff by ReplicaConfig::engine.
+  for (const auto& [engine, proposal] :
+       {std::pair{ConsensusEngine::kPbft, PbftMessage::Type::kPrePrepare},
+        std::pair{ConsensusEngine::kHotstuff, PbftMessage::Type::kProposal}}) {
+    sim::Simulator sim;
+    std::vector<PbftMessage> sent;
+    ReplicaConfig cfg;
+    cfg.engine = engine;
+    Replica r{cfg, sim, [&sent](std::uint32_t, const PbftMessage& m) { sent.push_back(m); },
+              [](std::uint64_t, const std::vector<std::uint8_t>&) {}};
+    r.propose({0x01});
+    ASSERT_EQ(sent.size(), 3u) << to_string(engine);
+    for (const PbftMessage& m : sent) EXPECT_EQ(m.type, proposal) << to_string(engine);
+  }
+}
+
+TEST(Hotstuff, SilentLeaderTimesOutWithMetricsAndSpans) {
+  // One slot commits; the leader's next proposal goes out, then it falls
+  // silent: no QC ever comes, followers time out and depose it. The shared
+  // core records the bft.* instruments and slot spans for HotStuff too.
   sim::Simulator sim;
-  const auto noop_send = [](std::uint32_t, const PbftMessage&) {};
-  const auto noop_deliver = [](std::uint64_t, const std::vector<std::uint8_t>&) {};
-  auto pbft = make_replica(ConsensusEngine::kPbft, {}, sim, noop_send, noop_deliver);
-  auto hs = make_replica(ConsensusEngine::kHotstuff, {}, sim, noop_send, noop_deliver);
-  EXPECT_NE(dynamic_cast<PbftReplica*>(pbft.get()), nullptr);
-  EXPECT_NE(dynamic_cast<HotstuffReplica*>(hs.get()), nullptr);
+  obs::Observatory obs;
+  obs.enable(sim);
+  PbftGroup::Options opts = hs_options();
+  opts.view_change_timeout = sim::SimTime::millis(100);
+  opts.obs = &obs;
+  PbftGroup group{sim, opts};
+  group.replica(0).propose({0x01});
+  sim.run_until(50_ms);
+  EXPECT_EQ(group.replicas_delivered_at_least(1), 4u);
+  group.replica(0).propose({0x02});
+  group.replica(0).set_behavior(Behavior::kSilent);
+  sim.run_until(1000_ms);
+  EXPECT_GE(group.replica(1).view(), 1u);
+  EXPECT_NE(group.current_leader().index(), 0u);
+
+  const obs::Labels layer{{"layer", "hotstuff"}};
+  EXPECT_GT(obs.metrics.counter("bft.timeouts_fired", layer).value(), 0u);
+  EXPECT_GT(obs.metrics.counter("bft.view_changes", layer).value(), 0u);
+
+  // Slot span on the proposal; .prepare until QC-prepare, .commit until
+  // QC-commit, both under their slot on the replica's own track.
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  std::map<std::string, std::size_t> closed;
+  for (const obs::SpanRecord& s : obs.tracer.spans()) {
+    by_id[s.id] = &s;
+    if (!s.open) ++closed[s.name];
+  }
+  for (const char* name : {"hotstuff", "hotstuff.prepare", "hotstuff.commit"}) {
+    EXPECT_GE(closed[name], 4u) << name;
+  }
+  for (const obs::SpanRecord& s : obs.tracer.spans()) {
+    if (s.name != "hotstuff.prepare" && s.name != "hotstuff.commit") continue;
+    ASSERT_NE(s.parent, 0u) << s.name;
+    EXPECT_EQ(by_id.at(s.parent)->name, "hotstuff");
+    EXPECT_EQ(by_id.at(s.parent)->track, s.track);
+  }
 }
 
 }  // namespace

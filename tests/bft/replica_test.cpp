@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "curb/bft/group.hpp"
 #include "curb/sim/simulator.hpp"
 
@@ -14,31 +16,51 @@ std::vector<std::uint8_t> payload(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
-TEST(PbftReplica, RejectsBadConfig) {
-  sim::Simulator sim;
-  const auto noop_send = [](std::uint32_t, const PbftMessage&) {};
-  const auto noop_deliver = [](std::uint64_t, const std::vector<std::uint8_t>&) {};
-  PbftReplica::Config too_small;
-  too_small.group_size = 3;
-  EXPECT_THROW(PbftReplica(too_small, sim, noop_send, noop_deliver),
-               std::invalid_argument);
-  PbftReplica::Config bad_index;
-  bad_index.group_size = 4;
-  bad_index.replica_index = 4;
-  EXPECT_THROW(PbftReplica(bad_index, sim, noop_send, noop_deliver),
-               std::invalid_argument);
+// ---- behaviour both vote rules share ------------------------------------
+//
+// One body per behaviour, run on each engine under that engine's suite.
+#define TEST_BOTH_ENGINES(pbft_name, hotstuff_name, body)       \
+  TEST(PbftReplica, pbft_name) { body(ConsensusEngine::kPbft); } \
+  TEST(Hotstuff, hotstuff_name) { body(ConsensusEngine::kHotstuff); }
+
+const auto noop_send = [](std::uint32_t, const PbftMessage&) {};
+const auto noop_deliver = [](std::uint64_t, const std::vector<std::uint8_t>&) {};
+
+PbftGroup::Options engine_options(ConsensusEngine engine, std::size_t n = 4) {
+  PbftGroup::Options opts;
+  opts.group_size = n;
+  opts.engine = engine;
+  return opts;
 }
 
-TEST(PbftReplica, NonLeaderCannotPropose) {
+void rejects_bad_config(ConsensusEngine engine) {
   sim::Simulator sim;
-  PbftGroup group{sim, {}};
+  Replica::Config too_small;
+  too_small.engine = engine;
+  too_small.group_size = 3;
+  EXPECT_THROW(Replica(too_small, sim, noop_send, noop_deliver), std::invalid_argument);
+  for (const std::uint32_t index : {4u, 9u}) {
+    Replica::Config bad_index;
+    bad_index.engine = engine;
+    bad_index.group_size = 4;
+    bad_index.replica_index = index;
+    EXPECT_THROW(Replica(bad_index, sim, noop_send, noop_deliver), std::invalid_argument)
+        << "index " << index;
+  }
+}
+TEST_BOTH_ENGINES(RejectsBadConfig, RejectsBadConfig, rejects_bad_config)
+
+void non_leader_cannot_propose(ConsensusEngine engine) {
+  sim::Simulator sim;
+  PbftGroup group{sim, engine_options(engine)};
   EXPECT_THROW((void)group.replica(1).propose(payload("x")), std::logic_error);
   EXPECT_NO_THROW((void)group.replica(0).propose(payload("x")));
 }
+TEST_BOTH_ENGINES(NonLeaderCannotPropose, NonLeaderCannotPropose, non_leader_cannot_propose)
 
-TEST(PbftReplica, AllHonestReplicasCommit) {
+void all_honest_replicas_commit(ConsensusEngine engine) {
   sim::Simulator sim;
-  PbftGroup group{sim, {}};
+  PbftGroup group{sim, engine_options(engine)};
   group.replica(0).propose(payload("tx-list-1"));
   sim.run();
   for (std::uint32_t i = 0; i < 4; ++i) {
@@ -47,22 +69,96 @@ TEST(PbftReplica, AllHonestReplicasCommit) {
     EXPECT_EQ(group.delivered(i)[0].payload, payload("tx-list-1"));
   }
 }
+TEST_BOTH_ENGINES(AllHonestReplicasCommit, AllHonestReplicasCommit,
+                  all_honest_replicas_commit)
 
-TEST(PbftReplica, SequentialProposalsDeliverInOrder) {
-  sim::Simulator sim;
-  PbftGroup group{sim, {}};
-  group.replica(0).propose(payload("a"));
-  group.replica(0).propose(payload("b"));
-  group.replica(0).propose(payload("c"));
-  sim.run();
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(group.delivered(i).size(), 3u);
-    EXPECT_EQ(group.delivered(i)[0].payload, payload("a"));
-    EXPECT_EQ(group.delivered(i)[1].payload, payload("b"));
-    EXPECT_EQ(group.delivered(i)[2].payload, payload("c"));
-    EXPECT_EQ(group.delivered(i)[2].sequence, 3u);
+void sequential_proposals_deliver_in_order(ConsensusEngine engine) {
+  // Three proposals in a group of 4 and five in a group of 7.
+  for (const auto& [n, proposals] : {std::pair{4u, 3}, std::pair{7u, 5}}) {
+    sim::Simulator sim;
+    PbftGroup group{sim, engine_options(engine, n)};
+    for (int k = 0; k < proposals; ++k) {
+      group.replica(0).propose(payload("p" + std::to_string(k)));
+    }
+    sim.run();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(group.delivered(i).size(), static_cast<std::size_t>(proposals));
+      for (int k = 0; k < proposals; ++k) {
+        EXPECT_EQ(group.delivered(i)[k].payload, payload("p" + std::to_string(k)));
+        EXPECT_EQ(group.delivered(i)[k].sequence, static_cast<std::uint64_t>(k + 1));
+      }
+      EXPECT_EQ(group.delivered(i), group.delivered(0)) << "n=" << n << " replica " << i;
+    }
   }
 }
+TEST_BOTH_ENGINES(SequentialProposalsDeliverInOrder, SequentialProposalsDeliverInOrder,
+                  sequential_proposals_deliver_in_order)
+
+void tolerates_f_silent_followers(ConsensusEngine engine) {
+  struct Case {
+    std::size_t n;
+    std::vector<std::uint32_t> silent;
+    std::size_t delivered;
+  };
+  // One silent follower of 4; f = 2 silent followers of 7.
+  for (const Case& c : {Case{4, {2}, 3}, Case{7, {3, 6}, 5}}) {
+    sim::Simulator sim;
+    PbftGroup group{sim, engine_options(engine, c.n)};
+    for (const std::uint32_t i : c.silent) group.replica(i).set_behavior(Behavior::kSilent);
+    group.replica(0).propose(payload("resilient"));
+    sim.run_until(400_ms);  // before view-change timeout
+    // The honest replicas (incl. leader) still commit; a silent one also
+    // receives enough from honest peers to commit locally.
+    EXPECT_GE(group.replicas_delivered_at_least(1), c.delivered) << "n=" << c.n;
+  }
+}
+TEST_BOTH_ENGINES(ToleratesOneSilentFollower, ToleratesFSilentFollowers,
+                  tolerates_f_silent_followers)
+
+void deterministic_across_runs(ConsensusEngine engine) {
+  auto run_once = [engine] {
+    sim::Simulator sim;
+    PbftGroup group{sim, engine_options(engine, 7)};
+    for (int i = 0; i < 3; ++i) group.replica(0).propose(payload("d" + std::to_string(i)));
+    sim.run();
+    return group.messages_sent();
+  };
+  EXPECT_EQ(run_once(), run_once());
+}
+TEST_BOTH_ENGINES(DeterministicAcrossRuns, DeterministicAcrossRuns, deterministic_across_runs)
+
+void adopted_view_prunes_stale_view_change_votes(ConsensusEngine engine) {
+  // Regression: view-change votes for views at or below the installed view
+  // must be discarded on adoption, or spammed stale votes accumulate forever.
+  sim::Simulator sim;
+  Replica::Config cfg;
+  cfg.engine = engine;
+  cfg.group_size = 4;  // f = 1: a single vote per view never reaches f+1
+  Replica r{cfg, sim, noop_send, noop_deliver};
+
+  for (std::uint64_t v = 2; v <= 10; ++v) {
+    PbftMessage vc;
+    vc.type = PbftMessage::Type::kViewChange;
+    vc.view = v;
+    vc.sender = 1;
+    r.on_message(vc);
+  }
+  EXPECT_EQ(r.pending_view_change_views().size(), 9u);
+
+  // A NEW-VIEW for view 11 (leader 11 % 4 == 3) installs the view; every
+  // pending vote set is for a view <= 11 and must be pruned with it.
+  PbftMessage nv;
+  nv.type = PbftMessage::Type::kNewView;
+  nv.view = 11;
+  nv.sender = 3;
+  r.on_message(nv);
+  EXPECT_EQ(r.view(), 11u);
+  EXPECT_TRUE(r.pending_view_change_views().empty());
+}
+TEST_BOTH_ENGINES(AdoptedViewPrunesStaleViewChangeVotes, AdoptedViewPrunesStaleViewChangeVotes,
+                  adopted_view_prunes_stale_view_change_votes)
+
+// ---- PBFT vote rule -------------------------------------------------------
 
 TEST(PbftReplica, AllReplicasDeliverIdenticalHistories) {
   sim::Simulator sim;
@@ -72,17 +168,6 @@ TEST(PbftReplica, AllReplicasDeliverIdenticalHistories) {
   for (std::uint32_t i = 1; i < 7; ++i) {
     EXPECT_EQ(group.delivered(i), group.delivered(0)) << "replica " << i;
   }
-}
-
-TEST(PbftReplica, ToleratesOneSilentFollower) {
-  sim::Simulator sim;
-  PbftGroup group{sim, {}};
-  group.replica(2).set_behavior(Behavior::kSilent);
-  group.replica(0).propose(payload("resilient"));
-  sim.run_until(400_ms);  // before view-change timeout
-  // The 3 honest replicas (incl. leader) still commit; the silent one also
-  // receives enough commits from honest peers to commit locally.
-  EXPECT_GE(group.replicas_delivered_at_least(1), 3u);
 }
 
 TEST(PbftReplica, ToleratesFSilentInLargerGroup) {
@@ -151,7 +236,7 @@ TEST(PbftReplica, NewLeaderCanProposeAfterViewChange) {
   group.replica(0).propose(payload("doomed"));
   sim.run_until(3000_ms);
   ASSERT_GE(group.replica(1).view(), 1u);
-  ConsensusReplica& new_leader = group.current_leader();
+  Replica& new_leader = group.current_leader();
   ASSERT_NE(new_leader.index(), 0u);
   new_leader.propose(payload("recovered"));
   sim.run_until(4000_ms);
@@ -189,17 +274,6 @@ TEST(PbftReplica, MessageComplexityIsQuadratic) {
   EXPECT_GT(static_cast<double>(counts[3]) / static_cast<double>(counts[0]), 6.0);
   // And each round is at least (pre-prepare) c-1 + (prepare+commit) ~2c(c-1).
   EXPECT_GE(counts[0], 3u + 2u * 3u * 3u / 2u);
-}
-
-TEST(PbftReplica, DeterministicAcrossRuns) {
-  auto run_once = [] {
-    sim::Simulator sim;
-    PbftGroup group{sim, {.group_size = 7}};
-    for (int i = 0; i < 3; ++i) group.replica(0).propose(payload("d" + std::to_string(i)));
-    sim.run();
-    return group.messages_sent();
-  };
-  EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(PbftReplica, IgnoresMessagesFromUnknownSenders) {
@@ -246,14 +320,14 @@ TEST(PbftReplica, IgnoresMalformedDigest) {
 TEST(PbftReplica, GarbageCollectsExecutedSlots) {
   sim::Simulator sim;
   // Tiny gc window so collection is observable quickly.
-  std::vector<std::unique_ptr<PbftReplica>> replicas;
+  std::vector<std::unique_ptr<Replica>> replicas;
   std::vector<std::size_t> delivered(4, 0);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    PbftReplica::Config cfg;
+    Replica::Config cfg;
     cfg.replica_index = i;
     cfg.group_size = 4;
     cfg.gc_window = 4;
-    replicas.push_back(std::make_unique<PbftReplica>(
+    replicas.push_back(std::make_unique<Replica>(
         cfg, sim,
         [&sim, &replicas, i](std::uint32_t dest, const PbftMessage& msg) {
           sim.schedule(sim::SimTime::millis(1),
@@ -272,36 +346,6 @@ TEST(PbftReplica, GarbageCollectsExecutedSlots) {
   EXPECT_EQ(replicas[0]->next_execute(), 21u);
 }
 
-TEST(PbftReplica, AdoptedViewPrunesStaleViewChangeVotes) {
-  // Regression: view-change votes for views at or below the installed view
-  // must be discarded on adoption, or spammed stale votes accumulate forever.
-  sim::Simulator sim;
-  const auto noop_send = [](std::uint32_t, const PbftMessage&) {};
-  const auto noop_deliver = [](std::uint64_t, const std::vector<std::uint8_t>&) {};
-  PbftReplica::Config cfg;
-  cfg.group_size = 4;  // f = 1: a single vote per view never reaches f+1
-  PbftReplica r{cfg, sim, noop_send, noop_deliver};
-
-  for (std::uint64_t v = 2; v <= 10; ++v) {
-    PbftMessage vc;
-    vc.type = PbftMessage::Type::kViewChange;
-    vc.view = v;
-    vc.sender = 1;
-    r.on_message(vc);
-  }
-  EXPECT_EQ(r.pending_view_change_views().size(), 9u);
-
-  // A NEW-VIEW for view 11 (leader 11 % 4 == 3) installs the view; every
-  // pending vote set is for a view <= 11 and must be pruned with it.
-  PbftMessage nv;
-  nv.type = PbftMessage::Type::kNewView;
-  nv.view = 11;
-  nv.sender = 3;
-  r.on_message(nv);
-  EXPECT_EQ(r.view(), 11u);
-  EXPECT_TRUE(r.pending_view_change_views().empty());
-}
-
 TEST(PbftReplica, ReArmedSlotDoesNotFireStaleTimeout) {
   // Regression: a slot re-armed by a fresh proposal (the new leader reuses
   // the sequence it re-proposed during view change) must cancel the previous
@@ -310,11 +354,11 @@ TEST(PbftReplica, ReArmedSlotDoesNotFireStaleTimeout) {
   sim::Simulator sim;
   std::vector<PbftMessage> sent;
   std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> delivered;
-  PbftReplica::Config cfg;
+  Replica::Config cfg;
   cfg.replica_index = 1;
   cfg.group_size = 4;
   cfg.view_change_timeout = sim::SimTime::millis(500);
-  PbftReplica r{cfg, sim,
+  Replica r{cfg, sim,
                 [&sent](std::uint32_t, const PbftMessage& msg) { sent.push_back(msg); },
                 [&delivered](std::uint64_t seq, const std::vector<std::uint8_t>& p) {
                   delivered.emplace_back(seq, p);
