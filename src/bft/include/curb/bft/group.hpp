@@ -20,7 +20,7 @@ class PbftGroup {
   struct Options {
     std::size_t group_size = 4;
     sim::SimTime link_delay = sim::SimTime::millis(1);
-    sim::SimTime view_change_timeout = sim::SimTime::millis(500);
+    sim::SimTime view_change_timeout = kViewChangeTimeout;
     ConsensusEngine engine = ConsensusEngine::kPbft;
     /// Observability (nullptr disables): spans go on track "replica-<i>"
     /// and spans and metrics are named after the engine.

@@ -53,13 +53,17 @@ enum class ConsensusEngine : std::uint8_t { kPbft, kHotstuff };
   return "?";
 }
 
+/// View-change timeout of both Curb consensus layers (paper Section IV:
+/// 500 ms); the controller's request watchdog uses the same value.
+inline constexpr sim::SimTime kViewChangeTimeout = sim::SimTime::millis(500);
+
 struct ReplicaConfig {
   /// Vote rule; everything else about the replica is shared.
   ConsensusEngine engine = ConsensusEngine::kPbft;
   std::uint32_t replica_index = 0;
   std::size_t group_size = 4;  // n = 3f + 1
   /// Commit timeout before initiating a view change.
-  sim::SimTime view_change_timeout = sim::SimTime::millis(500);
+  sim::SimTime view_change_timeout = kViewChangeTimeout;
   Behavior behavior = Behavior::kHonest;
   /// Extra delay applied to every outgoing message when behavior == kLazy.
   sim::SimTime lazy_delay = sim::SimTime::millis(300);

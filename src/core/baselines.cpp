@@ -23,7 +23,6 @@ FlatPbftBaseline::FlatPbftBaseline(net::Topology topology, CurbOptions options)
     bft::ReplicaConfig cfg;
     cfg.replica_index = i;
     cfg.group_size = n;
-    cfg.view_change_timeout = options_.pbft_timeout;
     replicas_.push_back(std::make_unique<bft::Replica>(
         cfg, sim_,
         [this, i](std::uint32_t dest, const bft::PbftMessage& msg) {

@@ -50,6 +50,14 @@ std::string txns_attr_from_payload(const std::vector<std::uint8_t>& payload) {
     return {};
   }
 }
+
+/// Leaders aggregate RE-ASS accusations arriving within this window into a
+/// single OP() solve (paper experiment 2: three byzantine nodes removed "by
+/// calculating OP once").
+constexpr sim::SimTime kReassAggregationDelay = sim::SimTime::millis(30);
+/// Retired replicas and orphaned AGREEs are kept this long, so consensus in
+/// flight across a reassignment can still land.
+constexpr sim::SimTime kRetiredGrace = bft::kViewChangeTimeout * 4;
 }  // namespace
 
 Controller::Controller(std::uint32_t id, net::NodeId node, crypto::KeyPair key,
@@ -67,9 +75,56 @@ void Controller::initialize(const AssignmentState& state, const chain::Block& ge
   rebuild_replicas();
 }
 
-void Controller::rebuild_replicas() {
-  const auto& options = network_.options();
+std::unique_ptr<bft::Replica> Controller::make_replica(
+    std::uint32_t instance, const std::vector<std::uint32_t>& members,
+    std::uint32_t leader) {
+  const bool is_final = instance == PbftEnvelope::kFinalInstance;
+  const auto index_of = [&members](std::uint32_t controller) {
+    return static_cast<std::uint32_t>(
+        std::find(members.begin(), members.end(), controller) - members.begin());
+  };
+  bft::ReplicaConfig cfg;
+  cfg.engine = network_.options().consensus_engine;
+  cfg.replica_index = index_of(id_);
+  cfg.group_size = members.size();
+  // Seat the OP-designated leader: view v has leader v % n.
+  cfg.initial_view = index_of(leader);
+  cfg.obs = network_.observatory();
+  if (cfg.obs != nullptr) {
+    cfg.span_track = "ctrl-" + std::to_string(id_);
+    cfg.span_prefix = is_final ? "final_pbft" : "intra_pbft";
+    cfg.span_attrs = {{"controller", std::to_string(id_)},
+                      {is_final ? "epoch" : "instance",
+                       std::to_string(is_final ? state_.epoch() : instance)}};
+  }
+  if (network_.options().verify_signatures) {
+    cfg.validate_payload = [this, is_final](const std::vector<std::uint8_t>& payload) {
+      if (!is_final) return verify_tx_list_payload(bft::payload_digest(payload), payload);
+      chain::Block block;
+      try {
+        block = chain::Block::deserialize(payload);
+      } catch (const std::exception&) {
+        return false;
+      }
+      return block.well_formed() && verify_block_txs(block.hash(), block);
+    };
+  }
+  return std::make_unique<bft::Replica>(
+      cfg, network_.simulator(),
+      [this, instance, members](std::uint32_t dest, const bft::PbftMessage& msg) {
+        PbftEnvelope envelope{instance, state_.epoch(), msg};
+        send_to_controller(members[dest], CurbMessage{std::move(envelope)});
+      },
+      [this, is_final, instance](std::uint64_t, const std::vector<std::uint8_t>& payload) {
+        if (is_final) {
+          on_final_committed(payload);
+        } else {
+          on_intra_committed(instance, payload);
+        }
+      });
+}
 
+void Controller::rebuild_replicas() {
   // --- Intra-group replicas: diff by membership-stable instance id.
   // Instances whose member set is unchanged survive with all their PBFT
   // state and in-flight proposals; only genuinely new/removed groups churn.
@@ -89,7 +144,6 @@ void Controller::rebuild_replicas() {
 
   // Retire (not destroy) replicas whose group dissolved: in-flight
   // consensus may still complete and land on chain within the grace period.
-  const sim::SimTime grace = network_.options().pbft_timeout * 4;
   for (auto it = replicas_.begin(); it != replicas_.end();) {
     if (wanted.contains(it->first)) {
       ++it;
@@ -100,21 +154,16 @@ void Controller::rebuild_replicas() {
     // replica below; otherwise it expires.
     retired_replicas_[instance] = std::move(it->second);
     it = replicas_.erase(it);
-    network_.simulator().schedule(grace, [this, instance] {
+    network_.simulator().schedule(kRetiredGrace, [this, instance] {
       if (replicas_.contains(instance)) return;  // resurrected meanwhile
       retired_replicas_.erase(instance);
       request_buffer_.erase(instance);
       pending_requests_.erase(instance);
       reass_window_.erase(instance);
-      const auto t1 = request_buffer_timer_.find(instance);
-      if (t1 != request_buffer_timer_.end()) {
-        network_.simulator().cancel(t1->second);
-        request_buffer_timer_.erase(t1);
-      }
-      const auto t2 = reass_window_timer_.find(instance);
-      if (t2 != reass_window_timer_.end()) {
-        network_.simulator().cancel(t2->second);
-        reass_window_timer_.erase(t2);
+      const auto timer = reass_window_timer_.find(instance);
+      if (timer != reass_window_timer_.end()) {
+        network_.simulator().cancel(timer->second);
+        reass_window_timer_.erase(timer);
       }
     });
   }
@@ -129,37 +178,7 @@ void Controller::rebuild_replicas() {
   }
   for (const auto& [instance, members] : wanted) {
     if (replicas_.contains(instance)) continue;
-    bft::ReplicaConfig cfg;
-    cfg.engine = network_.options().consensus_engine;
-    const auto self_it = std::find(members.begin(), members.end(), id_);
-    cfg.replica_index = static_cast<std::uint32_t>(self_it - members.begin());
-    cfg.group_size = members.size();
-    cfg.view_change_timeout = options.pbft_timeout;
-    // Seat the OP-designated leader: view v has leader v % n.
-    const auto leader_it =
-        std::find(members.begin(), members.end(), instance_leader.at(instance));
-    cfg.initial_view = static_cast<std::uint64_t>(leader_it - members.begin());
-    cfg.obs = network_.observatory();
-    if (cfg.obs != nullptr) {
-      cfg.span_track = "ctrl-" + std::to_string(id_);
-      cfg.span_prefix = "intra_pbft";
-      cfg.span_attrs = {{"controller", std::to_string(id_)},
-                        {"instance", std::to_string(instance)}};
-    }
-    if (options.verify_signatures) {
-      cfg.validate_payload = [this](const std::vector<std::uint8_t>& payload) {
-        return verify_tx_list_payload(bft::payload_digest(payload), payload);
-      };
-    }
-    auto replica = std::make_unique<bft::Replica>(
-        cfg, network_.simulator(),
-        [this, instance, members](std::uint32_t dest, const bft::PbftMessage& msg) {
-          PbftEnvelope envelope{instance, state_.epoch(), msg};
-          send_to_controller(members[dest], CurbMessage{std::move(envelope)});
-        },
-        [this, instance](std::uint64_t, const std::vector<std::uint8_t>& payload) {
-          on_intra_committed(instance, payload);
-        });
+    auto replica = make_replica(instance, members, instance_leader.at(instance));
     replica->set_on_view_change([this, instance](std::uint64_t) {
       rehandle_pending(instance);
     });
@@ -195,40 +214,8 @@ void Controller::rebuild_replicas() {
     final_proposal_in_flight_ = false;
   } else if (committee_changed) {
     retire_final_replica();
-    bft::ReplicaConfig cfg;
-    cfg.engine = network_.options().consensus_engine;
-    cfg.replica_index = *state_.final_replica_index(id_);
-    cfg.group_size = committee.size();
-    cfg.view_change_timeout = options.pbft_timeout;
-    cfg.initial_view = *state_.final_replica_index(state_.final_leader());
-    cfg.obs = network_.observatory();
-    if (cfg.obs != nullptr) {
-      cfg.span_track = "ctrl-" + std::to_string(id_);
-      cfg.span_prefix = "final_pbft";
-      cfg.span_attrs = {{"controller", std::to_string(id_)},
-                        {"epoch", std::to_string(state_.epoch())}};
-    }
-    if (options.verify_signatures) {
-      cfg.validate_payload = [this](const std::vector<std::uint8_t>& payload) {
-        chain::Block block;
-        try {
-          block = chain::Block::deserialize(payload);
-        } catch (const std::exception&) {
-          return false;
-        }
-        if (!block.well_formed()) return false;
-        return verify_block_txs(block.hash(), block);
-      };
-    }
-    final_replica_ = std::make_unique<bft::Replica>(
-        cfg, network_.simulator(),
-        [this, committee](std::uint32_t dest, const bft::PbftMessage& msg) {
-          PbftEnvelope envelope{PbftEnvelope::kFinalInstance, state_.epoch(), msg};
-          send_to_controller(committee[dest], CurbMessage{std::move(envelope)});
-        },
-        [this](std::uint64_t, const std::vector<std::uint8_t>& payload) {
-          on_final_committed(payload);
-        });
+    final_replica_ =
+        make_replica(PbftEnvelope::kFinalInstance, committee, state_.final_leader());
     final_committee_cache_ = committee;
     final_proposal_in_flight_ = false;
     if (!block_buffer_.empty() && final_replica_->is_leader()) {
@@ -240,11 +227,10 @@ void Controller::rebuild_replicas() {
   // Replay AGREEs that arrived before this node adopted their instance.
   if (!orphan_agrees_.empty() && member_now) {
     const sim::SimTime now = network_.simulator().now();
-    const sim::SimTime max_age = options.pbft_timeout * 4;
     std::vector<std::pair<sim::SimTime, AgreeMsg>> orphans;
     orphans.swap(orphan_agrees_);
     for (auto& [when, agree] : orphans) {
-      if (now - when > max_age) continue;  // expired
+      if (now - when > kRetiredGrace) continue;  // expired
       network_.simulator().schedule(sim::SimTime::zero(),
                                     [this, agree = std::move(agree)] { on_agree(agree); });
     }
@@ -285,14 +271,8 @@ void Controller::crash() {
   // queue fire against the cleared maps and no-op; the explicit handles we
   // hold are cancelled so they cannot re-arm anything.
   auto& sim = network_.simulator();
-  for (auto& [instance, handle] : request_buffer_timer_) sim.cancel(handle);
-  request_buffer_timer_.clear();
   for (auto& [instance, handle] : reass_window_timer_) sim.cancel(handle);
   reass_window_timer_.clear();
-  if (block_buffer_timer_armed_) {
-    sim.cancel(block_buffer_timer_);
-    block_buffer_timer_armed_ = false;
-  }
   replicas_.clear();
   retired_replicas_.clear();
   final_replica_.reset();
@@ -635,23 +615,8 @@ void Controller::buffer_transaction(std::uint32_t instance, const sdn::RequestMs
                         std::move(config)};
   if (network_.options().verify_signatures) tx.sign(key_);
   ++stats_.tx_created;
-  auto& buffer = request_buffer_[instance];
-  buffer.push_back(std::move(tx));
-  const auto& options = network_.options();
-  if (buffer.size() >= options.request_batch_size) {
-    const auto timer = request_buffer_timer_.find(instance);
-    if (timer != request_buffer_timer_.end()) {
-      network_.simulator().cancel(timer->second);
-      request_buffer_timer_.erase(timer);
-    }
-    flush_request_buffer(instance);
-  } else if (!request_buffer_timer_.contains(instance)) {
-    request_buffer_timer_[instance] = network_.simulator().schedule(
-        options.request_batch_timeout, [this, instance] {
-          request_buffer_timer_.erase(instance);
-          flush_request_buffer(instance);
-        });
-  }
+  request_buffer_[instance].push_back(std::move(tx));
+  flush_request_buffer(instance);
 }
 
 void Controller::handle_reassign_request(std::uint32_t instance,
@@ -672,7 +637,7 @@ void Controller::handle_reassign_request(std::uint32_t instance,
   }
   if (!reass_window_timer_.contains(instance)) {
     reass_window_timer_[instance] = network_.simulator().schedule(
-        network_.options().reass_aggregation_delay, [this, instance] {
+        kReassAggregationDelay, [this, instance] {
           reass_window_timer_.erase(instance);
           flush_reass_window(instance);
         });
@@ -847,22 +812,7 @@ void Controller::on_agree(const AgreeMsg& agree) {
   // drains the buffer into block proposals. If leadership moves (committee
   // change after a reassignment), the new leader still holds the backlog.
   block_buffer_.push_back({agree.instance, agree.tx_list});
-  if (final_replica_ == nullptr || !final_replica_->is_leader()) return;
-  const auto& options = network_.options();
-  if (block_buffer_.size() >= options.block_batch_size) {
-    if (block_buffer_timer_armed_) {
-      network_.simulator().cancel(block_buffer_timer_);
-      block_buffer_timer_armed_ = false;
-    }
-    flush_block_buffer();
-  } else if (!block_buffer_timer_armed_) {
-    block_buffer_timer_armed_ = true;
-    block_buffer_timer_ = network_.simulator().schedule(
-        options.block_batch_timeout, [this] {
-          block_buffer_timer_armed_ = false;
-          flush_block_buffer();
-        });
-  }
+  flush_block_buffer();
 }
 
 void Controller::flush_block_buffer() {
@@ -1002,19 +952,19 @@ void Controller::apply_block(const chain::Block& block) {
   std::vector<const chain::Transaction*> reply_list;
   for (const chain::Transaction& tx : block.transactions()) {
     const RequestKey key{tx.switch_id(), tx.request_id()};
-    bool resolved = true;
+    std::vector<std::uint32_t> unresolved;
     if (tx.type() == chain::RequestType::kReassign) {
       apply_reassignment(tx, block.header().height);
-      resolved = reassignment_resolved(tx);
+      unresolved = unresolved_accusations(tx);
     } else if (tx.type() == chain::RequestType::kPolicyUpdate) {
       apply_policy_update(tx);
     }
-    if (resolved) {
+    if (unresolved.empty()) {
       committed_requests_.insert(key);
       for (auto& [instance, pending] : pending_requests_) pending.erase(key);
       reply_list.push_back(&tx);
     } else {
-      rehandle_stale_reassignment(tx);
+      rehandle_stale_reassignment(tx, unresolved);
     }
   }
   // Second pass: REPLY to the requesting switches (Algorithm 3 line 30).
@@ -1023,36 +973,13 @@ void Controller::apply_block(const chain::Block& block) {
   }
 }
 
-bool Controller::reassignment_resolved(const chain::Transaction& tx) const {
+std::vector<std::uint32_t> Controller::unresolved_accusations(
+    const chain::Transaction& tx) const {
   AssignmentState proposed;
   try {
     proposed = AssignmentState::deserialize(tx.config());
   } catch (const std::exception&) {
-    return true;  // malformed: nothing actionable
-  }
-  const auto& current = state_.byzantine();
-  for (const std::uint32_t accused : proposed.byzantine()) {
-    if (!std::binary_search(current.begin(), current.end(), accused)) return false;
-  }
-  return true;
-}
-
-void Controller::rehandle_stale_reassignment(const chain::Transaction& tx) {
-  if (tx.switch_id() >= state_.assignment().num_switches()) return;
-  const std::uint32_t gid = state_.group_of_switch(tx.switch_id());
-  const GroupInfo& group = state_.group(gid);
-  const std::uint32_t instance = state_.instance_of_group(gid);
-  bft::Replica* replica = replica_for(instance);
-  if (replica == nullptr || !replica->is_leader()) return;
-
-  // Reconstruct the unresolved accusations and run them through the normal
-  // leader path with the original request identity (the switch's pending
-  // request, if still open, matches replies by that id).
-  AssignmentState proposed;
-  try {
-    proposed = AssignmentState::deserialize(tx.config());
-  } catch (const std::exception&) {
-    return;
+    return {};  // malformed: nothing actionable
   }
   std::vector<std::uint32_t> unresolved;
   const auto& current = state_.byzantine();
@@ -1061,8 +988,20 @@ void Controller::rehandle_stale_reassignment(const chain::Transaction& tx) {
       unresolved.push_back(accused);
     }
   }
-  if (unresolved.empty()) return;
-  (void)group;
+  return unresolved;
+}
+
+void Controller::rehandle_stale_reassignment(const chain::Transaction& tx,
+                                             const std::vector<std::uint32_t>& unresolved) {
+  if (tx.switch_id() >= state_.assignment().num_switches()) return;
+  const std::uint32_t instance =
+      state_.instance_of_group(state_.group_of_switch(tx.switch_id()));
+  bft::Replica* replica = replica_for(instance);
+  if (replica == nullptr || !replica->is_leader()) return;
+
+  // Run the unresolved accusations through the normal leader path with the
+  // original request identity (the switch's pending request, if still open,
+  // matches replies by that id).
   sdn::RequestMsg request{chain::RequestType::kReassign, tx.switch_id(), tx.request_id(),
                           serialize_id_list(unresolved)};
   handle_reassign_request(instance, request);
@@ -1174,7 +1113,7 @@ void Controller::arm_request_watchdog(std::uint32_t instance,
                                       const sdn::RequestMsg& request) {
   const RequestKey key{request.switch_id, request.request_id};
   network_.simulator().schedule(
-      network_.options().pbft_timeout, [this, instance, key] {
+      bft::kViewChangeTimeout, [this, instance, key] {
         const auto git = pending_requests_.find(instance);
         if (git == pending_requests_.end() || !git->second.contains(key)) return;
         // The request is still unserved: depose the group leader.

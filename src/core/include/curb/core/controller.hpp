@@ -123,8 +123,17 @@ class Controller {
   void on_final_agree(const FinalAgreeMsg& msg);
   void apply_block(const chain::Block& block);
   void apply_reassignment(const chain::Transaction& tx, std::uint64_t height);
-  [[nodiscard]] bool reassignment_resolved(const chain::Transaction& tx) const;
-  void rehandle_stale_reassignment(const chain::Transaction& tx);
+  /// Accused ids a committed reassignment carries that the adopted
+  /// byzantine set has not absorbed (empty: resolved, or malformed).
+  [[nodiscard]] std::vector<std::uint32_t> unresolved_accusations(
+      const chain::Transaction& tx) const;
+  void rehandle_stale_reassignment(const chain::Transaction& tx,
+                                   const std::vector<std::uint32_t>& unresolved);
+  /// Builds the replica of an intra-group instance, or of the final
+  /// committee when `instance` is PbftEnvelope::kFinalInstance.
+  [[nodiscard]] std::unique_ptr<bft::Replica> make_replica(
+      std::uint32_t instance, const std::vector<std::uint32_t>& members,
+      std::uint32_t leader);
   void rebuild_replicas();
   void retire_final_replica();
   void send_replies_for(const chain::Transaction& tx);
@@ -177,14 +186,16 @@ class Controller {
   /// while the committee is unchanged).
   std::vector<std::uint32_t> final_committee_cache_;
 
-  // Leader request buffers per group; dedup across the whole run.
+  // Request identity; leader dedup spans the whole run.
   struct RequestKey {
     std::uint32_t switch_id;
     std::uint64_t request_id;
     auto operator<=>(const RequestKey&) const = default;
   };
+  /// Leader transactions per instance, proposed as one txList as soon as the
+  /// group may propose (non-parallel mode holds them while the group's
+  /// previous txList is still off-chain).
   std::map<std::uint32_t, std::vector<chain::Transaction>> request_buffer_;
-  std::map<std::uint32_t, sim::EventHandle> request_buffer_timer_;
   /// RE-ASS aggregation (one OP solve covers a burst of accusations).
   struct ReassWindow {
     std::vector<std::uint32_t> accused;
@@ -210,8 +221,6 @@ class Controller {
   /// AGREEs for instances this node has not adopted yet (it may simply be
   /// behind on block application); replayed after each epoch adoption.
   std::vector<std::pair<sim::SimTime, AgreeMsg>> orphan_agrees_;
-  sim::EventHandle block_buffer_timer_;
-  bool block_buffer_timer_armed_ = false;
   /// Final leader: a proposed block not yet on the chain. Proposals are
   /// serialized — two in-flight blocks would claim the same height and the
   /// loser's transactions would be dropped by every replica.

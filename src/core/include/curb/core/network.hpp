@@ -60,9 +60,9 @@ class CurbNetwork {
   /// flushes, so aborted runs never leave a truncated telemetry file.
   void finalize_telemetry();
 
-  /// Per-link telemetry; nullptr unless options.link_telemetry (implied by
-  /// observability). Counts every accounted bus send per (src,dst) pair —
-  /// per-link msgs sum exactly to bus().stats().total_messages().
+  /// Per-link telemetry; nullptr unless options.observability. Counts every
+  /// accounted bus send per (src,dst) pair — per-link msgs sum exactly to
+  /// bus().stats().total_messages().
   [[nodiscard]] obs::net::LinkStats* link_stats() { return link_stats_.get(); }
   [[nodiscard]] const obs::net::LinkStats* link_stats() const {
     return link_stats_.get();

@@ -18,7 +18,8 @@ enum class OpTimeMode : std::uint8_t {
   /// compute delay — mirrors the paper, where Gurobi runs inline on the
   /// controller host.
   kMeasured,
-  /// Inject a fixed delay (deterministic runs for tests).
+  /// Inject a fixed 20 ms delay (deterministic runs for tests and
+  /// perfbench).
   kFixed,
 };
 
@@ -41,26 +42,10 @@ struct CurbOptions {
   /// stops responding; 1 = report on first miss).
   std::size_t max_silent_rounds = 1;
 
-  /// Leader request buffer: pack a txList after this many requests...
-  std::size_t request_batch_size = 1;
-  /// ...or after this timeout since the first buffered request.
-  sim::SimTime request_batch_timeout = sim::SimTime::millis(50);
-  /// Final leader block buffer: seal a block after this many txLists...
-  std::size_t block_batch_size = 1;
-  /// ...or after this timeout since the first buffered txList.
-  sim::SimTime block_batch_timeout = sim::SimTime::millis(50);
-
-  /// PBFT view-change timeout for both consensus layers.
-  sim::SimTime pbft_timeout = sim::SimTime::millis(500);
   /// BFT engine for Intra- and Final-consensus. The paper uses PBFT and
   /// notes Tendermint/HotStuff work too; kHotstuff swaps in the
   /// leader-aggregated linear-communication engine.
   bft::ConsensusEngine consensus_engine = bft::ConsensusEngine::kPbft;
-
-  /// Leaders aggregate RE-ASS accusations arriving within this window into
-  /// a single OP() solve (paper experiment 2: three byzantine nodes removed
-  /// "by calculating OP once").
-  sim::SimTime reass_aggregation_delay = sim::SimTime::millis(30);
 
   /// Parallel mode (paper Fig. 4(c)): all intra-group and final consensus
   /// instances proceed concurrently. Non-parallel serializes them through a
@@ -80,15 +65,10 @@ struct CurbOptions {
   opt::CapSolverBackend op_solver = opt::CapSolverBackend::kDense;
   /// D_c,s threshold in milliseconds (kNoLimit disables [C1.3]).
   double max_cs_delay_ms = opt::CapInstance::kNoLimit;
-  /// D_c,c threshold in milliseconds (kNoLimit disables [C1.4], the paper's
-  /// default in all experiments since the quadratic constraint is costly).
-  double max_cc_delay_ms = opt::CapInstance::kNoLimit;
-  /// Q_i: per-switch load units and C_j: per-controller capacity.
-  double switch_load = 1.0;
+  /// C_j: per-controller capacity (every switch carries one load unit).
   double controller_capacity = 1e9;
 
   OpTimeMode op_time_mode = OpTimeMode::kFixed;
-  sim::SimTime op_fixed_time = sim::SimTime::millis(20);
   /// Wall-clock budget for each OP() branch-and-bound (0 = unlimited). When
   /// hit, the solver returns its incumbent (usually the greedy/repair warm
   /// start) — a leader must answer within the switches' timeout regardless.
@@ -106,16 +86,10 @@ struct CurbOptions {
   /// Observability: when true the network owns an obs::Observatory — the
   /// protocol records spans per round (pkt_in -> intra_pbft -> agree ->
   /// final_pbft -> block_commit -> reply_quorum) and every layer feeds the
-  /// metrics registry. Off by default: the disabled path is a null-pointer
-  /// check on each hot path.
+  /// metrics registry, and per-link telemetry (curb::obs::net::LinkStats)
+  /// counts every accounted bus send per (src, dst). Off by default: the
+  /// disabled path is a null-pointer check on each hot path.
   bool observability = false;
-
-  /// Per-link telemetry (curb::obs::net::LinkStats): every accounted bus
-  /// send also increments per-(src,dst) counters, exportable as a link
-  /// matrix / DOT heatmap and surfaced as net.link_util gauges. Implied by
-  /// `observability`; set directly to collect link counters without the
-  /// full observatory. Pure counting — same-seed runs stay byte-identical.
-  bool link_telemetry = false;
 
   /// Message-complexity ledger (curb::obs::net::MsgLedger): attribute every
   /// accounted send to its transaction join key (payload-digest hex for

@@ -10,6 +10,11 @@
 
 namespace curb::core {
 
+namespace {
+/// Virtual compute delay of one OP() solve under OpTimeMode::kFixed.
+constexpr sim::SimTime kOpFixedTime = sim::SimTime::millis(20);
+}  // namespace
+
 CurbNetwork::CurbNetwork(net::Topology topology, CurbOptions options)
     : topology_{std::move(topology)}, options_{options}, sim_{options.seed} {
   // Referencing the accountant forces its object file (which carries the
@@ -32,9 +37,8 @@ CurbNetwork::CurbNetwork(net::Topology topology, CurbOptions options)
     observatory_ = std::make_unique<obs::Observatory>();
     observatory_->enable(sim_);
     bus_->set_observatory(observatory_.get());
-    options_.link_telemetry = true;
+    link_stats_ = std::make_unique<obs::net::LinkStats>();
   }
-  if (options_.link_telemetry) link_stats_ = std::make_unique<obs::net::LinkStats>();
   if (options_.msg_ledger) ledger_ = std::make_unique<obs::net::MsgLedger>();
   if (link_stats_ != nullptr || ledger_ != nullptr) {
     // Pure counting on the accounted-send path: never sends, schedules, or
@@ -236,8 +240,7 @@ opt::CapInstance CurbNetwork::build_cap_instance(
   const std::size_t s = switch_nodes_.size();
   const std::size_t c = controller_nodes_.size();
   opt::CapInstance inst = opt::CapInstance::uniform(
-      s, c, static_cast<int>(3 * options_.f + 1), options_.switch_load,
-      options_.controller_capacity);
+      s, c, static_cast<int>(3 * options_.f + 1), 1.0, options_.controller_capacity);
   for (std::size_t i = 0; i < s; ++i) {
     for (std::size_t j = 0; j < c; ++j) {
       inst.cs_delay[i][j] =
@@ -251,7 +254,6 @@ opt::CapInstance CurbNetwork::build_cap_instance(
     }
   }
   inst.max_cs_delay = options_.max_cs_delay_ms;
-  inst.max_cc_delay = options_.max_cc_delay_ms;
   for (const std::uint32_t b : byzantine) {
     if (b < c) inst.byzantine[b] = true;
   }
@@ -286,7 +288,7 @@ void CurbNetwork::solve_op_async(const opt::CapInstance& instance,
   const sim::SimTime delay = options_.op_time_mode == OpTimeMode::kMeasured
                                  ? sim::SimTime::from_seconds_f(
                                        result.stats.wall_time_ms / 1000.0)
-                                 : options_.op_fixed_time;
+                                 : kOpFixedTime;
   obs::SpanId solve_span;
   if (observatory_ != nullptr) {
     observatory_->metrics.counter("core.op_solves").inc();
@@ -493,8 +495,7 @@ void CurbNetwork::record_assignment_metrics(const AssignmentState& state) {
   for (std::size_t g = 0; g < state.groups().size(); ++g) {
     const auto label = std::to_string(g);
     registry.gauge("core.group_load", {{"group", label}})
-        .set(static_cast<double>(state.groups()[g].switches.size()) *
-             options_.switch_load);
+        .set(static_cast<double>(state.groups()[g].switches.size()));
     registry.gauge("core.group_size", {{"group", label}})
         .set(static_cast<double>(state.groups()[g].members.size()));
   }

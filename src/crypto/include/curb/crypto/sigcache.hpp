@@ -44,7 +44,7 @@ class SigCache {
   /// Drop every entry (counters keep accumulating; entries goes to zero).
   void clear();
 
-  /// Toggle at runtime (tests; also set from CURB_SIG_CACHE=0 at startup).
+  /// Toggle at runtime (tests compare runs with the cache on and off).
   /// Disabled means every call falls through to crypto::verify.
   void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -221,6 +222,29 @@ namespace {
   return inst.fixed_leader[i];
 }
 
+/// Lower bound on the controllers any feasible assignment uses: every switch
+/// needs B_i distinct controllers, and the used (non-byzantine) capacities
+/// must cover the total demand sum_i q_i * B_i.
+[[nodiscard]] double controllers_lower_bound(const CapInstance& inst) {
+  double demand = 0.0;
+  int widest_group = 0;
+  for (std::size_t i = 0; i < inst.num_switches; ++i) {
+    demand += inst.switch_load[i] * inst.group_size[i];
+    widest_group = std::max(widest_group, inst.group_size[i]);
+  }
+  std::vector<double> capacities;
+  for (std::size_t j = 0; j < inst.num_controllers; ++j) {
+    if (!is_byzantine(inst, j)) capacities.push_back(inst.controller_capacity[j]);
+  }
+  std::sort(capacities.begin(), capacities.end(), std::greater<>{});
+  // The tolerance can only shrink k, which keeps the bound valid.
+  std::size_t k = 0;
+  for (double covered = 0.0; k < capacities.size() && covered < demand - 1e-6; ++k) {
+    covered += capacities[k];
+  }
+  return std::max(static_cast<double>(widest_group), static_cast<double>(k));
+}
+
 }  // namespace
 
 std::optional<Assignment> greedy_assign(const CapInstance& inst) {
@@ -351,13 +375,14 @@ std::optional<Assignment> repair_assign(const CapInstance& inst, const Assignmen
 
 CapResult solve_cap(const CapInstance& inst, CapObjective objective,
                     const Assignment* previous, const MilpOptions& milp_options,
-                    bool seed_incumbent_from_previous) {
+                    LpBackend backend) {
   inst.validate();
   if (objective == CapObjective::kLeastMovement && previous == nullptr) {
     throw std::invalid_argument{"solve_cap: LCR objective requires a previous assignment"};
   }
   const prof::Scope scope{"solver.cap"};
   prof::StopWatch sw;
+  const char* const backend_name = backend == LpBackend::kSparse ? "sparse" : "dense";
 
   LpProblem lp;
   // A_ij variables, created only for eligible pairs ([C2.3]/[C2.5] are
@@ -402,8 +427,7 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
     if (static_cast<int>(terms.size()) < inst.group_size[i]) {
       // Not enough eligible controllers: trivially infeasible.
       CapResult r;
-      r.stats.backend =
-          milp_options.lp_backend == LpBackend::kSparse ? "sparse" : "dense";
+      r.stats.backend = backend_name;
       r.stats.wall_time_ms = 0.0;
       r.stats.proven = true;
       return r;
@@ -472,8 +496,7 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
     const int v = a_var[i][static_cast<std::size_t>(*leader)];
     if (v < 0) {
       CapResult r;  // leader not eligible: infeasible
-      r.stats.backend =
-          milp_options.lp_backend == LpBackend::kSparse ? "sparse" : "dense";
+      r.stats.backend = backend_name;
       r.stats.proven = true;
       return r;
     }
@@ -481,14 +504,14 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
   }
 
   // Warm start: repair the previous assignment for LCR, greedy otherwise.
-  // With seed_incumbent_from_previous, a kTrivial re-solve also repairs the
-  // previous assignment and keeps whichever incumbent scores better —
-  // reassignment instances barely move, so the repair usually wins.
+  // The sparse backend's kTrivial re-solve also repairs the previous
+  // assignment and keeps whichever incumbent scores better — reassignment
+  // instances barely move, so the repair usually wins.
   std::optional<Assignment> warm =
       (objective == CapObjective::kLeastMovement && previous != nullptr)
           ? repair_assign(inst, *previous)
           : greedy_assign(inst);
-  if (seed_incumbent_from_previous && objective == CapObjective::kTrivial &&
+  if (backend == LpBackend::kSparse && objective == CapObjective::kTrivial &&
       previous != nullptr) {
     std::optional<Assignment> repaired = repair_assign(inst, *previous);
     if (repaired &&
@@ -507,7 +530,7 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
   }
 
   const std::size_t num_constraints = lp.num_constraints();
-  MilpSolver solver{std::move(lp)};
+  MilpSolver solver{std::move(lp), backend};
   solver.set_binary(binaries);
   // Deciding which controllers are used dominates the combinatorics; the
   // A_ij layer mostly follows once x is fixed.
@@ -516,11 +539,13 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
     if (!is_byzantine(inst, j)) usable_x.push_back(x_var[j]);
   }
   solver.set_branch_priority(usable_x);
+  if (objective == CapObjective::kTrivial) {
+    solver.set_objective_lower_bound(controllers_lower_bound(inst));
+  }
   const MilpSolution milp = solver.solve(options);
 
   CapResult result;
-  result.stats.backend =
-      milp_options.lp_backend == LpBackend::kSparse ? "sparse" : "dense";
+  result.stats.backend = backend_name;
   result.stats.milp_nodes = milp.nodes_explored;
   result.stats.lp_iterations = milp.lp_iterations;
   result.stats.lp_warm_hits = milp.lp_warm_hits;

@@ -132,19 +132,21 @@ struct CapResult {
 /// Exact OP() solver: builds the MILP (with the standard linearisations of
 /// the quadratic C2C constraint and of the LCR |A - a| objective) and solves
 /// it by branch-and-bound, warm-started with the greedy heuristic.
-/// `previous` is required for CapObjective::kLeastMovement.
+/// `previous` is required for CapObjective::kLeastMovement. A kTrivial
+/// search stops as soon as its incumbent reaches a capacity/group-size lower
+/// bound on the controllers used.
 ///
-/// `seed_incumbent_from_previous` additionally repairs `previous` into a
-/// warm incumbent for kTrivial solves (reassignment is near-incremental by
-/// construction, so the repair usually dominates the greedy). Off by
-/// default: the incumbent influences which of several optimal assignments
-/// branch-and-bound returns, and the dense baseline path must stay
-/// byte-for-byte reproducible.
+/// `backend` picks the node-relaxation simplex. kSparse also repairs
+/// `previous` into a warm incumbent for kTrivial solves (reassignment is
+/// near-incremental by construction, so the repair usually dominates the
+/// greedy). kDense does not: the incumbent influences which of several
+/// optimal assignments branch-and-bound returns, and the dense baseline
+/// path must stay byte-for-byte reproducible.
 [[nodiscard]] CapResult solve_cap(const CapInstance& instance,
                                   CapObjective objective = CapObjective::kTrivial,
                                   const Assignment* previous = nullptr,
                                   const MilpOptions& milp_options = {},
-                                  bool seed_incumbent_from_previous = false);
+                                  LpBackend backend = LpBackend::kDense);
 
 /// Greedy construction heuristic (also the warm start and an ablation
 /// baseline): repeatedly pick the controller that covers the most unmet

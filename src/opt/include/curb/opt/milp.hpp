@@ -35,7 +35,6 @@ enum class LpBackend : std::uint8_t {
 
 struct MilpOptions {
   std::size_t max_nodes = 200'000;
-  std::size_t max_lp_iterations_per_node = 50'000;
   /// Wall-clock budget in milliseconds (0 = unlimited). When exceeded the
   /// search stops and returns the incumbent found so far.
   double max_wall_ms = 0.0;
@@ -44,21 +43,18 @@ struct MilpOptions {
   /// solve() only returns solutions STRICTLY better than this value — a
   /// kInfeasible result then means "keep your heuristic solution".
   std::optional<double> incumbent_objective;
-  /// When all objective coefficients are integral, bounds can be rounded up
-  /// before pruning, cutting the tree substantially. Detected automatically;
-  /// this flag force-disables the optimization.
-  bool assume_integral_objective = true;
-  /// Simplex implementation for the node relaxations.
-  LpBackend lp_backend = LpBackend::kDense;
 };
 
 /// Branch-and-bound over LP relaxations for problems whose integer
 /// variables are binary (0/1) — which covers every OP() program in the
 /// paper (A_ij and x_j are all binary). Branching fixes a fractional
 /// variable to 0 / 1 via bounds; depth-first with best-bound tie-breaking.
+/// When every objective coefficient is integral, node bounds are rounded up
+/// before pruning. `backend` picks the simplex for the node relaxations.
 class MilpSolver {
  public:
-  explicit MilpSolver(LpProblem problem) : problem_{std::move(problem)} {}
+  explicit MilpSolver(LpProblem problem, LpBackend backend = LpBackend::kDense)
+      : problem_{std::move(problem)}, backend_{backend} {}
 
   /// Mark a variable as integer (must have bounds within [0, 1]).
   void set_binary(int var);
@@ -70,12 +66,18 @@ class MilpSolver {
   /// tree by orders of magnitude.
   void set_branch_priority(const std::vector<int>& vars);
 
+  /// A proven lower bound on the optimal objective: the search stops as
+  /// soon as its incumbent reaches it, with the incumbent proven optimal.
+  void set_objective_lower_bound(double bound) { lower_bound_ = bound; }
+
   [[nodiscard]] MilpSolution solve(const MilpOptions& options = {});
 
  private:
   LpProblem problem_;
+  LpBackend backend_;
   std::vector<int> binaries_;
   std::vector<int> priority_;
+  double lower_bound_ = -LpProblem::kInf;
 };
 
 }  // namespace curb::opt

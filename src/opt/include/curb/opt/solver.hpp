@@ -5,7 +5,7 @@
 #include <string_view>
 
 #include "curb/opt/cap.hpp"
-#include "curb/opt/heuristic.hpp"
+#include "curb/opt/milp.hpp"
 
 namespace curb::opt {
 
@@ -38,11 +38,8 @@ enum class CapSolverBackend : std::uint8_t {
     std::string_view name);
 
 struct CapSolverOptions {
-  /// Branch-and-bound limits for the exact backends. lp_backend is
-  /// overridden per concrete solver; leave it defaulted.
+  /// Branch-and-bound limits for the exact backends.
   MilpOptions milp;
-  /// Heuristic backend knobs.
-  HeuristicOptions heuristic;
   /// Cache the last feasible assignment inside the solver and use it as the
   /// warm start when the caller passes no `previous`. Lets a long-lived
   /// solver make successive reassignments near-incremental without the

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -15,6 +13,8 @@ namespace curb::opt {
 
 namespace {
 constexpr double kIntEps = 1e-6;
+/// Simplex pivot limit per node relaxation; a node that hits it is pruned.
+constexpr std::size_t kMaxLpIterationsPerNode = 50'000;
 
 [[nodiscard]] bool is_integral(double v) { return std::abs(v - std::round(v)) <= kIntEps; }
 }  // namespace
@@ -47,7 +47,7 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
   best.status = LpStatus::kInfeasible;
   double incumbent = options.incumbent_objective.value_or(LpProblem::kInf);
 
-  const bool integral_objective = options.assume_integral_objective && [&] {
+  const bool integral_objective = [&] {
     for (std::size_t j = 0; j < problem_.num_variables(); ++j) {
       if (!is_integral(problem_.cost(static_cast<int>(j)))) return false;
     }
@@ -69,26 +69,12 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
   // the previous node left behind (only variable bounds change between
   // nodes). The dense tableau solver is stateless per call.
   std::unique_ptr<SparseLpSolver> sparse;
-  if (options.lp_backend == LpBackend::kSparse) {
-    sparse = std::make_unique<SparseLpSolver>(problem_);
-  }
-  const auto solve_relaxation = [&](std::size_t max_iterations) {
-    if (sparse == nullptr) return solve_lp(problem_, max_iterations);
-    LpSolution s = sparse->solve(max_iterations);
-    if (std::getenv("CURB_LP_DIFF") != nullptr) {
-      LpSolution d = solve_lp(problem_, max_iterations);
-      if (d.status != s.status ||
-          (d.status == LpStatus::kOptimal &&
-           std::abs(d.objective - s.objective) > 1e-6)) {
-        std::fprintf(stderr,
-                     "LP DIFF node=%zu sparse={%d %.9f} dense={%d %.9f}\n",
-                     stats.nodes_explored, static_cast<int>(s.status), s.objective,
-                     static_cast<int>(d.status), d.objective);
-      }
-    }
-    return s;
-  };
+  if (backend_ == LpBackend::kSparse) sparse = std::make_unique<SparseLpSolver>(problem_);
   while (!stack.empty()) {
+    // Nothing can beat an incumbent at the proven lower bound; B&B only
+    // replaces an incumbent on strict improvement, so stopping here returns
+    // the same solution the exhausted tree would.
+    if (incumbent <= lower_bound_ + kIntEps) break;
     if (stats.nodes_explored >= options.max_nodes) {
       best.hit_node_limit = true;
       break;
@@ -115,7 +101,10 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
     }
 
     LpSolution relax;
-    if (!conflict) relax = solve_relaxation(options.max_lp_iterations_per_node);
+    if (!conflict) {
+      relax = sparse == nullptr ? solve_lp(problem_, kMaxLpIterationsPerNode)
+                                : sparse->solve(kMaxLpIterationsPerNode);
+    }
     for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
       problem_.set_bounds(it->first, it->second.first, it->second.second);
     }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "curb/opt/heuristic.hpp"
 #include "curb/prof/profiler.hpp"
 
 namespace curb::opt {
@@ -31,9 +32,7 @@ namespace {
 
 class DenseCapSolver final : public CapSolver {
  public:
-  explicit DenseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {
-    options_.milp.lp_backend = LpBackend::kDense;
-  }
+  explicit DenseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {}
   [[nodiscard]] CapSolverBackend backend() const override {
     return CapSolverBackend::kDense;
   }
@@ -41,19 +40,13 @@ class DenseCapSolver final : public CapSolver {
  protected:
   CapResult do_solve(const CapInstance& instance, CapObjective objective,
                      const Assignment* previous) override {
-    // seed_incumbent_from_previous stays off: the incumbent influences which
-    // of several optimal assignments branch-and-bound returns, and the dense
-    // path is the byte-stable baseline for same-seed simulation runs.
-    return solve_cap(instance, objective, previous, options_.milp,
-                     /*seed_incumbent_from_previous=*/false);
+    return solve_cap(instance, objective, previous, options_.milp, LpBackend::kDense);
   }
 };
 
 class SparseCapSolver final : public CapSolver {
  public:
-  explicit SparseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {
-    options_.milp.lp_backend = LpBackend::kSparse;
-  }
+  explicit SparseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {}
   [[nodiscard]] CapSolverBackend backend() const override {
     return CapSolverBackend::kSparse;
   }
@@ -61,8 +54,7 @@ class SparseCapSolver final : public CapSolver {
  protected:
   CapResult do_solve(const CapInstance& instance, CapObjective objective,
                      const Assignment* previous) override {
-    return solve_cap(instance, objective, previous, options_.milp,
-                     /*seed_incumbent_from_previous=*/true);
+    return solve_cap(instance, objective, previous, options_.milp, LpBackend::kSparse);
   }
 };
 
@@ -82,7 +74,7 @@ class HeuristicCapSolver final : public CapSolver {
     result.stats.backend = "heuristic";
 
     std::optional<Assignment> assignment =
-        partition_assign(instance, objective, previous, options_.heuristic);
+        partition_assign(instance, objective, previous);
     if (!assignment) {
       // The partition can get stuck on feasible instances; fall back to the
       // exact solvers' construction heuristics before giving up.

@@ -18,11 +18,12 @@ namespace curb::sdn {
 /// releases the buffered packet through the new rule.
 class Switch {
  public:
+  /// Buffered table-miss packets expire after this long (paper: buffered
+  /// packets "expire after a period of time").
+  static constexpr sim::SimTime kBufferExpiry = sim::SimTime::seconds(2);
+
   struct Config {
     std::uint32_t switch_id = 0;
-    /// Buffered table-miss packets expire after this long (paper: buffered
-    /// packets "expire after a period of time").
-    sim::SimTime buffer_expiry = sim::SimTime::seconds(2);
   };
 
   /// Table miss: `buffer_id` references the buffered packet.

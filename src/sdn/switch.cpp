@@ -25,7 +25,7 @@ void Switch::process(const Packet& packet, bool allow_punt) {
     ++stats_.table_misses;
     const std::uint64_t buffer_id = next_buffer_id_++;
     buffer_.emplace(buffer_id, packet);
-    sim_.schedule(config_.buffer_expiry, [this, buffer_id] {
+    sim_.schedule(kBufferExpiry, [this, buffer_id] {
       if (buffer_.erase(buffer_id) > 0) ++stats_.buffer_expired;
     });
     packet_in_(packet, buffer_id);

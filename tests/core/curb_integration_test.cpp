@@ -25,7 +25,6 @@ CurbOptions test_options() {
   opts.max_cs_delay_ms = 10.0;
   opts.controller_capacity = 12.0;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
   return opts;
 }
 
@@ -60,6 +59,28 @@ TEST(CurbNetwork, InitializationSatisfiesPaperConstraints) {
   // finalCom has 3f+1 members; leader has the highest id.
   EXPECT_EQ(state.final_committee().size(), 3 * opts.f + 1);
   EXPECT_EQ(state.final_leader(), state.final_committee().back());
+}
+
+TEST(CurbNetwork, PaperGenesisSolveStopsAtProvenBound) {
+  // Internet2 paper calibration (f = 1, capacity 12, D_cs 14 ms). The
+  // capacity bound ceil(34 switches * 4 / 12) = 12 proves the first
+  // 12-controller incumbent optimal, so both exact backends stop there,
+  // well inside a node budget that the exhaustive search overruns.
+  CurbOptions opts;
+  opts.controller_capacity = 12.0;
+  opts.max_cs_delay_ms = 14.0;
+  const CurbNetwork network{net::internet2(), opts};
+  const opt::CapInstance instance = network.build_cap_instance({});
+  opt::MilpOptions limits;
+  limits.max_nodes = 200;
+  for (const auto backend : {opt::CapSolverBackend::kDense, opt::CapSolverBackend::kSparse}) {
+    SCOPED_TRACE(opt::to_string(backend));
+    const opt::CapResult result =
+        opt::solve_cap_with(backend, instance, opt::CapObjective::kTrivial, nullptr, limits);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_TRUE(result.stats.proven);
+    EXPECT_EQ(result.assignment.controllers_used(), 12u);
+  }
 }
 
 TEST(CurbNetwork, GenesisBlockSharedByAllControllers) {

@@ -21,7 +21,6 @@ CurbOptions fast_options() {
   opts.controller_capacity = 8.0;
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
   return opts;
 }
 

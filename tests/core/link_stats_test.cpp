@@ -25,8 +25,7 @@ CurbOptions telemetry_options() {
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   opts.controller_capacity = 8.0;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
-  opts.observability = true;  // implies link_telemetry
+  opts.observability = true;  // brings the per-link counters
   opts.msg_ledger = true;
   return opts;
 }
@@ -151,19 +150,6 @@ TEST(LinkTelemetry, SameSeedRunsExportIdenticalReports) {
   EXPECT_EQ(ledger[0], ledger[1]);
   EXPECT_NE(matrix[0].find("\"links\":["), std::string::npos);
   EXPECT_NE(complexity[0].find("\"violations\":0"), std::string::npos);
-}
-
-TEST(LinkTelemetry, LinkTelemetryAloneNeedsNoObservatory) {
-  CurbOptions opts = telemetry_options();
-  opts.observability = false;
-  opts.link_telemetry = true;
-  opts.msg_ledger = false;
-  CurbSimulation sim = telemetry_sim(opts);
-  (void)sim.run_packet_in_round(2);
-  ASSERT_EQ(sim.network().observatory(), nullptr);
-  ASSERT_NE(sim.network().link_stats(), nullptr);
-  EXPECT_EQ(sim.network().msg_ledger(), nullptr);
-  expect_conservation(sim.network());
 }
 
 TEST(LinkTelemetry, UtilizationGaugesPublishTopLinks) {

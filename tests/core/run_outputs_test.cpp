@@ -26,7 +26,6 @@ CurbOptions small_options(const RunOutputs& outputs) {
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   opts.controller_capacity = 8.0;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
   enable_outputs(opts, outputs);
   return opts;
 }

@@ -34,7 +34,6 @@ CurbOptions faulted_options(const std::string& spec, std::uint64_t seed) {
   opts.controller_capacity = 8.0;
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
   opts.observability = true;  // anomaly cross-check needs the tracer
   opts.fault_spec = spec;
   opts.fault_seed = seed;

@@ -23,7 +23,6 @@ CurbOptions traced_options() {
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   opts.controller_capacity = 8.0;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
   opts.observability = true;
   return opts;
 }

@@ -34,7 +34,6 @@ CurbOptions ts_options() {
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   opts.controller_capacity = 8.0;
   opts.op_time_mode = OpTimeMode::kFixed;
-  opts.op_fixed_time = 20_ms;
   opts.ts_window = 50_ms;
   return opts;
 }
@@ -59,7 +58,6 @@ TEST(TsPipeline, TelemetryDoesNotChangeProtocolOutputs) {
   plain.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   plain.controller_capacity = 8.0;
   plain.op_time_mode = OpTimeMode::kFixed;
-  plain.op_fixed_time = 20_ms;
 
   const std::vector<RoundMetrics> bare = run_rounds(plain, 2);
   const std::vector<RoundMetrics> observed = run_rounds(ts_options(), 2);
